@@ -155,7 +155,7 @@ def cmd_shephard(config: RunConfig) -> int:
     results = []
     all_ok = True
     for index, (bodies, c_bodies) in enumerate(instances):
-        fm = build_matrix(bodies, 1, c_bodies, threads=config.threads)
+        fm = build_matrix(bodies, 1, c_bodies)
         report = shephard_verify(fm)
         all_ok &= report.ok
         results.append(
@@ -186,10 +186,7 @@ def cmd_fedotov_construct(config: RunConfig) -> int:
         raise UsageError("the k = 1 family is hyperbolic; need k >= 2")
     try:
         cert = construct_counterexample(
-            config.n,
-            config.k,
-            threads=config.threads,
-            max_core_size=config.max_core_size,
+            config.n, config.k, max_core_size=config.max_core_size
         )
     except CoreTooLargeError as exc:
         _print(f"construction aborted: {exc}")
@@ -221,14 +218,7 @@ def cmd_fedotov_search(config: RunConfig) -> int:
     if config.m is None or config.m < 1:
         raise UsageError("--m is required and must be >= 1")
     trials = config.trials if config.trials is not None else 100
-    cert, stats = random_search(
-        config.n,
-        config.k,
-        config.m,
-        trials,
-        config.seed,
-        threads=config.threads,
-    )
+    cert, stats = random_search(config.n, config.k, config.m, trials, config.seed)
     ok = True
     if cert is not None:
         ok = bool(verify_certificate(cert))
@@ -259,7 +249,7 @@ def cmd_fedotov_verify(config: RunConfig) -> int:
         cert = load_certificate(config.path)
     except OSError as exc:
         raise UsageError(f"cannot read {config.path}: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, IndexError, TypeError, OverflowError, ValueError) as exc:
         if config.format == "json":
             sys.stdout.write(
                 json.dumps({"ok": False, "reason": f"malformed certificate: {exc}"}, indent=2)
@@ -379,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", help="write the payload to this path")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker cap (does not affect results)"
+            "--threads",
+            type=int,
+            default=1,
+            help="worker cap, at least 1; accepted but currently has no effect",
         )
 
     p_mix = sub.add_parser("mixvol", help="evaluate a body tuple from a file")

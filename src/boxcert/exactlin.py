@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -44,6 +44,15 @@ def rat_to_str(value: Rat) -> str:
 
 
 def rat_from_str(text: str) -> Rat:
+    """Parse an exact rational from a string; any other type is rejected.
+
+    Input files hold rationals as strings, so a JSON number (a binary float
+    in particular) never becomes a Fraction.
+    """
+    if not isinstance(text, str):
+        raise ValueError(
+            f"expected a rational string such as \"p/q\", got {type(text).__name__} {text!r}"
+        )
     return Fraction(text)
 
 
@@ -148,20 +157,20 @@ class RatMatrix:
         return [list(row) for row in self.entries]
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """(integers z, denominator d) with values[i] = z[i] / d exactly."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], Rat]:
+def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
     """Scale each row to integers; return (rows, product of scale factors)."""
     rows = []
-    scale = Fraction(1)
+    scale = 1
     for row in m.entries:
-        f = 1
-        for x in row:
-            f = _lcm(f, x.denominator)
-        scale *= f
-        rows.append([int(x * f) for x in row])
+        int_row, den = integer_row(row)
+        scale *= den
+        rows.append(int_row)
     return rows, scale
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -52,7 +51,12 @@ from .hypmat import (
     is_hyperbolic,
     sylvester_violation,
 )
-from .mixvol import BodyTuple, mixed_volume, mixed_volume_via_derivatives
+from .mixvol import (
+    MAX_DIMENSION,
+    BodyTuple,
+    kfold_via_derivatives,
+    mixed_volume,
+)
 
 CERTIFICATE_VERSION = 1
 
@@ -74,23 +78,34 @@ class FedotovMatrix:
         return len(self.bodies)
 
 
-def _pair_tuple(
-    n: int, a: BoxBody, b: BoxBody, k: int, c_bodies: Sequence[BoxBody]
-) -> BodyTuple:
-    return BodyTuple(n, ((a, k), (b, k)) + tuple((c, 1) for c in c_bodies))
+def width_classes(
+    bodies: Sequence[BoxBody],
+) -> tuple[list[BoxBody], list[int]]:
+    """Group bodies by widths: (first body of each class, class of each body).
+
+    Mixed volumes see only widths, so M_ij depends on the unordered pair of
+    the classes of bodies i and j alone.
+    """
+    index: dict[tuple[Rat, ...], int] = {}
+    reps: list[BoxBody] = []
+    classes = []
+    for body in bodies:
+        c = index.setdefault(body.widths, len(reps))
+        if c == len(reps):
+            reps.append(body)
+        classes.append(c)
+    return reps, classes
 
 
 def build_matrix(
     bodies: Sequence[BoxBody],
     k: int,
     c_bodies: Sequence[BoxBody],
-    threads: int = 1,
 ) -> FedotovMatrix:
     """Assemble M_ij = V(K_i[k], K_j[k], C...) exactly.
 
-    Entries are independent mixed volumes; with threads > 1 they are
-    evaluated by a thread pool and written back by index, so the result
-    does not depend on the worker count.
+    One permanent-path mixed volume per distinct pair of width classes;
+    every entry of a class pair shares that value.
     """
     bodies = tuple(bodies)
     c_bodies = tuple(c_bodies)
@@ -101,22 +116,14 @@ def build_matrix(
         raise ValueError(
             f"dimension bookkeeping failed: 2*{k} + {len(c_bodies)} != {n}"
         )
-    size = len(bodies)
-    pairs = [(i, j) for i in range(size) for j in range(i, size)]
-
-    def entry(pair: tuple[int, int]) -> Rat:
-        i, j = pair
-        return mixed_volume(_pair_tuple(n, bodies[i], bodies[j], k, c_bodies))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(entry, pairs))
-    else:
-        values = [entry(p) for p in pairs]
-    grid = [[Fraction(0)] * size for _ in range(size)]
-    for (i, j), v in zip(pairs, values):
-        grid[i][j] = v
-        grid[j][i] = v
+    reps, classes = width_classes(bodies)
+    tail = tuple((c, 1) for c in c_bodies)
+    table = [[Fraction(0)] * len(reps) for _ in reps]
+    for a, body_a in enumerate(reps):
+        for b in range(a, len(reps)):
+            v = mixed_volume(BodyTuple(n, ((body_a, k), (reps[b], k)) + tail))
+            table[a][b] = table[b][a] = v
+    grid = [[table[a][b] for b in classes] for a in classes]
     return FedotovMatrix(n, k, bodies, c_bodies, RatMatrix(grid))
 
 
@@ -213,7 +220,7 @@ def _check(condition: bool, message: str) -> None:
         raise PipelineError(message)
 
 
-def pipeline_base_k2(n: int, threads: int = 1) -> PipelineData:
+def pipeline_base_k2(n: int) -> PipelineData:
     """Degree-2 primitive data: bodies, x, y and the k = 2 matrix in R^n.
 
     Steps: pick the first degree-2 primitive basis operator whose action on
@@ -243,7 +250,7 @@ def pipeline_base_k2(n: int, threads: int = 1) -> PipelineData:
     bodies = tuple(box for _, box in powers.terms) + (cube,)
     x = tuple(c for c, _ in powers.terms) + (Fraction(0),)
     y = tuple(Fraction(0) for _ in powers.terms) + (Fraction(1),)
-    fm = build_matrix(bodies, 2, c_bodies, threads=threads)
+    fm = build_matrix(bodies, 2, c_bodies)
     mx = fm.matrix.matvec(x)
     pair_xy = dot(y, mx)
     pair_xx = dot(x, mx)
@@ -260,10 +267,10 @@ def pipeline_base_k2(n: int, threads: int = 1) -> PipelineData:
 
 
 def construct_counterexample_k2(
-    n: int, threads: int = 1, max_core_size: Optional[int] = None
+    n: int, max_core_size: Optional[int] = None
 ) -> Certificate:
     """Certified violation of the minor sign condition at k = 2, any n >= 4."""
-    base = pipeline_base_k2(n, threads=threads)
+    base = pipeline_base_k2(n)
     _check(not is_hyperbolic(base.fedotov.matrix), "matrix is hyperbolic")
     violation = find_violation(
         base.fedotov.matrix, witness=(base.x, base.y), max_core_size=max_core_size
@@ -298,7 +305,6 @@ def _deltas(k: int) -> list[tuple[int, ...]]:
 def reduce_to_general_k(
     base: PipelineData,
     k: int,
-    threads: int = 1,
     max_core_size: Optional[int] = None,
 ) -> Certificate:
     """Lift the k = 2 violation to degree k via double polarization.
@@ -335,7 +341,7 @@ def reduce_to_general_k(
                 Fraction(1) if (i == m_plus - 1 and delta == y_delta) else Fraction(0)
             )
     c_bodies = tuple([cube] * (n - 2 * k))
-    fm = build_matrix(bodies, k, c_bodies, threads=threads)
+    fm = build_matrix(bodies, k, c_bodies)
     mx = fm.matrix.matvec(x_t)
     pair_xy = dot(y_t, mx)
     pair_xx = dot(x_t, mx)
@@ -376,7 +382,7 @@ def reduce_to_general_k(
 
 
 def construct_counterexample(
-    n: int, k: int, threads: int = 1, max_core_size: Optional[int] = None
+    n: int, k: int, max_core_size: Optional[int] = None
 ) -> Certificate:
     """k = 2 directly; k > 2 through the reduction from the k = 2 base."""
     if k < 2:
@@ -384,13 +390,9 @@ def construct_counterexample(
     if 2 * k > n:
         raise ValueError(f"need 2k <= n, got k={k}, n={n}")
     if k == 2:
-        return construct_counterexample_k2(
-            n, threads=threads, max_core_size=max_core_size
-        )
-    base = pipeline_base_k2(n, threads=threads)
-    return reduce_to_general_k(
-        base, k, threads=threads, max_core_size=max_core_size
-    )
+        return construct_counterexample_k2(n, max_core_size=max_core_size)
+    base = pipeline_base_k2(n)
+    return reduce_to_general_k(base, k, max_core_size=max_core_size)
 
 
 def double_polarization_check(base: PipelineData, cert: Certificate) -> bool:
@@ -437,13 +439,12 @@ def random_search(
     trials: int,
     seed: int,
     grid: Optional[Sequence[Rat]] = None,
-    threads: int = 1,
 ) -> tuple[Optional[Certificate], SearchStats]:
     """Randomized hunt for a direct minor-sign violation.
 
     Widths are drawn from a fixed rational grid; the outcome is a pure
     function of (seed, trials): each trial re-seeds its own generator, so
-    neither thread count nor early stopping elsewhere can change it.
+    early stopping elsewhere cannot change it.
     Returns the first violation as a certificate with empty x, y (marked
     "direct"), or None.
     """
@@ -458,7 +459,7 @@ def random_search(
         rng = random.Random(f"boxcert:{seed}:{trial}")
         bodies = [_random_box(rng, n, grid) for _ in range(m)]
         c_bodies = [_random_box(rng, n, grid) for _ in range(n - 2 * k)]
-        fm = build_matrix(bodies, k, c_bodies, threads=threads)
+        fm = build_matrix(bodies, k, c_bodies)
         violation = sylvester_violation(fm.matrix)
         if violation is not None:
             cert = Certificate(
@@ -488,10 +489,13 @@ def random_search(
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate through the independent evaluation path.
 
-    Every matrix entry is recomputed from the stored widths with the
-    derivative-path mixed volumes (the builder used the permanent path),
-    the pairings are re-evaluated, the minor determinant is recomputed by
-    fraction-free elimination, and the sign condition is confirmed.
+    Every stored entry M_ij (i <= j, row-major) is compared against a value
+    recomputed from the stored widths by the derivative path (the builder
+    used the permanent path). That path differentiates V once per distinct
+    body width class and then pairs, so each distinct entry is evaluated
+    once. The pairings are re-evaluated, the minor determinant is
+    recomputed by fraction-free elimination, and the sign condition is
+    confirmed. Bounds are checked before any arithmetic.
     """
 
     def fail(reason: str) -> VerificationReport:
@@ -500,6 +504,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     if cert.version != CERTIFICATE_VERSION:
         return fail(f"unsupported certificate version {cert.version}")
     n, k = cert.n, cert.k
+    if n > MAX_DIMENSION:
+        return fail(f"dimension {n} exceeds the supported envelope n <= {MAX_DIMENSION}")
     if k < 1 or 2 * k > n:
         return fail(f"degree bounds violated: k={k}, n={n}")
     if len(cert.c_bodies) != n - 2 * k:
@@ -518,11 +524,15 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         return fail("matrix is not symmetric")
     if not cert.matrix.is_positive:
         return fail("matrix is not entrywise positive")
+    reps, classes = width_classes(cert.bodies)
+    entry = kfold_via_derivatives(n, reps, k, cert.c_bodies)
+    values: dict[tuple[int, int], Rat] = {}
     for i in range(size):
         for j in range(i, size):
-            recomputed = mixed_volume_via_derivatives(
-                _pair_tuple(n, cert.bodies[i], cert.bodies[j], k, cert.c_bodies)
-            )
+            key = tuple(sorted((classes[i], classes[j])))
+            recomputed = values.get(key)
+            if recomputed is None:
+                recomputed = values[key] = entry(*key)
             if recomputed != cert.matrix[i, j]:
                 return fail(
                     f"matrix entry ({i},{j}) is {cert.matrix[i, j]}, "

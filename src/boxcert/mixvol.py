@@ -10,7 +10,12 @@ A second, independent evaluation path goes through the volume polynomial:
 V(K_1, ..., K_n) = (1/n!) D_{K_1} ... D_{K_n} V with the derivative
 operators of the diffop module. The two paths are used to cross-check each
 other throughout, and certificate verification deliberately uses the path
-the certificate builder did not.
+the certificate builder did not. For a whole table of k-fold entries
+V(A_a[k], A_b[k], C...) the derivative path differentiates once per body
+and then pairs (``kfold_via_derivatives``).
+
+Nothing is cached between calls: callers that need many entries evaluate
+each distinct one once themselves.
 
 Supported envelope: n <= 12 (desk-scale instances have n <= 8).
 """
@@ -19,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import factorial, gcd
-from typing import Sequence
+from itertools import combinations, product
+from math import factorial
+from operator import mul
+from typing import Callable, Sequence
 
 from .boxes import BoxBody, minkowski_combine
-from .diffop import contract, volume_polynomial
-from .exactlin import Rat
+from .diffop import contract, op_from_box, volume_polynomial
+from .exactlin import Rat, integer_row
 
 MAX_DIMENSION = 12
 
@@ -100,59 +106,62 @@ def _int_permanent(rows: list[list[int]]) -> int:
     return total
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-_permanent_cache: dict = {}
-_derivative_cache: dict = {}
-
-
-def clear_caches() -> None:
-    _permanent_cache.clear()
-    _derivative_cache.clear()
-
-
-def _canonical_rows(t: BodyTuple) -> tuple[tuple[Rat, ...], ...]:
-    return tuple(sorted(t.width_rows))
-
-
 def mixed_volume(t: BodyTuple) -> Rat:
     """Exact mixed volume via the integer permanent (reference path)."""
-    key = _canonical_rows(t)
-    cached = _permanent_cache.get(key)
-    if cached is not None:
-        return cached
     scale = 1
     int_rows = []
-    for row in key:
-        f = 1
-        for x in row:
-            f = _lcm(f, x.denominator)
-        scale *= f
-        int_rows.append([int(x * f) for x in row])
-    value = Fraction(_int_permanent(int_rows), factorial(t.n) * scale)
-    _permanent_cache[key] = value
-    return value
+    for row in t.width_rows:
+        int_row, den = integer_row(row)
+        scale *= den
+        int_rows.append(int_row)
+    return Fraction(_int_permanent(int_rows), factorial(t.n) * scale)
 
 
 def mixed_volume_via_derivatives(t: BodyTuple) -> Rat:
     """Exact mixed volume via iterated directional derivatives of V.
 
-    Independent of the permanent path; used as the cross-check side of
-    certificate verification.
+    Independent of the permanent path. Works on any body tuple; certificate
+    verification uses the k-fold table form, ``kfold_via_derivatives``.
     """
-    key = _canonical_rows(t)
-    cached = _derivative_cache.get(key)
-    if cached is not None:
-        return cached
     p = volume_polynomial(t.n)
     for box, mult in t.entries:
         for _ in range(mult):
             p = contract(p, [box])
-    value = p.constant / factorial(t.n)
-    _derivative_cache[key] = value
-    return value
+    return p.constant / factorial(t.n)
+
+
+def kfold_via_derivatives(
+    n: int, bodies: Sequence[BoxBody], k: int, c_bodies: Sequence[BoxBody]
+) -> Callable[[int, int], Rat]:
+    """Entries V(A_a[k], A_b[k], C...) over ``bodies`` by the derivative path.
+
+    The prefix q_a = D_{A_a}^k prod_i D_{C_i} V is differentiated once per
+    body, sharing the C-contraction. The entry for (a, b) is the constant
+    term of D_{A_b}^k q_a over n!, that is (1/n!) sum_{|S|=k} q_a[S] times
+    the S-coefficient of (D_{A_b})^k; both coefficient rows are brought to
+    integers over one denominator each, so the sum is an integer dot
+    product. Returns entry(a, b), indexing ``bodies``.
+    """
+    if k < 1 or 2 * k + len(c_bodies) != n:
+        raise ValueError(f"dimension bookkeeping failed: 2*{k} + {len(c_bodies)} != {n}")
+    subsets = list(combinations(range(n), k))
+    zero = Fraction(0)
+    shared = contract(volume_polynomial(n), c_bodies)
+    prefixes = []
+    powers = []
+    for a in bodies:
+        q = contract(shared, [a] * k).terms
+        prefixes.append(integer_row([q.get(s, zero) for s in subsets]))
+        power = op_from_box(a, k).terms
+        powers.append(integer_row([power.get(s, zero) for s in subsets]))
+    n_fact = factorial(n)
+
+    def entry(a: int, b: int) -> Rat:
+        q, q_den = prefixes[a]
+        p, p_den = powers[b]
+        return Fraction(sum(map(mul, q, p)), q_den * p_den * n_fact)
+
+    return entry
 
 
 def af_check(

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from boxcert.cli import main
+from boxcert.fedotov import certificate_to_json, construct_counterexample_k2
 
 RUN = [sys.executable, "-m", "boxcert.cli"]
 
@@ -144,3 +145,64 @@ def test_max_core_size_bound(capsys):
     assert main(
         ["fedotov", "construct", "--n", "4", "--k", "2", "--max-core-size", "10"]
     ) == 0
+
+
+@pytest.fixture(scope="module")
+def cert_n4_data():
+    return json.loads(certificate_to_json(construct_counterexample_k2(4)))
+
+
+def _verify_data(tmp_path, data, *flags):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    return main(["fedotov", "verify", str(path), *flags])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bodies", 5), ("matrix", None), ("version", [1])],
+    ids=["bodies-int", "matrix-null", "version-list"],
+)
+def test_verify_malformed_field_exits_1(tmp_path, capsys, cert_n4_data, field, value):
+    data = dict(cert_n4_data, **{field: value})
+    assert _verify_data(tmp_path, data) == 1
+    assert capsys.readouterr().out.startswith("certificate INVALID: malformed: ")
+    assert _verify_data(tmp_path, data, "--format", "json") == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["ok"] is False and result["reason"].startswith("malformed certificate: ")
+
+
+@pytest.mark.parametrize("field", ["x", "subset_det"])
+def test_verify_rejects_json_float(tmp_path, capsys, cert_n4_data, field):
+    data = json.loads(json.dumps(cert_n4_data))
+    if field == "x":
+        data["x"][0] = float(data["x"][0].split("/")[0])
+    else:
+        data["subset_det"] = -1381.4
+    assert _verify_data(tmp_path, data) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("certificate INVALID: malformed: ") and "float" in out
+
+
+def test_verify_dimension_beyond_envelope_exits_1(tmp_path, capsys):
+    n = 14
+    cube = ["1"] * n
+    data = {
+        "version": 1, "kind": "minor-sign-violation", "n": n, "k": 2, "m": 1,
+        "labels": [0], "bodies": [cube], "c_bodies": [cube] * (n - 4),
+        "x": [], "y": [], "pair_xy": None, "pair_xx": None,
+        "matrix": [["1"]], "subset": [0], "subset_det": "1", "trace": {},
+    }
+    assert _verify_data(tmp_path, data) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("certificate INVALID: dimension 14 exceeds")
+
+
+def test_mixvol_rejects_json_float(tmp_path, capsys):
+    path = tmp_path / "tuple.json"
+    path.write_text(
+        json.dumps({"n": 2, "bodies": [{"widths": [0.5, "2"]}, {"widths": ["3", "1"]}]})
+    )
+    assert main(["mixvol", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float" in captured.err

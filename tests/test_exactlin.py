@@ -245,6 +245,12 @@ def test_rat_str_roundtrip(a, b):
         assert rat_from_str(rat_to_str(value)) == value
 
 
+def test_rat_from_str_rejects_non_strings():
+    for value in (0.5, -1381.4, 3, None, ["1"]):
+        with pytest.raises(ValueError):
+            rat_from_str(value)
+
+
 def test_rat_str_format():
     assert rat_to_str(F(3)) == "3"
     assert rat_to_str(F(-3, 7)) == "-3/7"

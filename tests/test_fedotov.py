@@ -21,6 +21,7 @@ from boxcert.fedotov import (
     save_certificate,
     shephard_verify,
     verify_certificate,
+    width_classes,
 )
 from boxcert.hypmat import is_hyperbolic
 from boxcert.mixvol import BodyTuple, mixed_volume
@@ -58,13 +59,27 @@ def test_build_matrix_validates_bookkeeping():
         build_matrix([], 1, [unit_cube(4)] * 2)
 
 
-def test_build_matrix_threads_match_serial():
+def test_width_classes_group_by_widths_only():
+    a, b = BoxBody(3, (1, 2, 3)), BoxBody(3, (2, 2, 2))
+    bodies = [a, b, a.translate((1, 0, 0)), b, a]
+    reps, classes = width_classes(bodies)
+    assert reps == [a, b]
+    assert classes == [0, 1, 0, 1, 0]
+
+
+def test_build_matrix_repeated_widths_match_reference():
     rng = random.Random(1)
-    bodies = [random_box(rng, 4) for _ in range(4)]
-    c_bodies = [random_box(rng, 4) for _ in range(2)]
-    serial = build_matrix(bodies, 1, c_bodies, threads=1)
-    threaded = build_matrix(bodies, 1, c_bodies, threads=4)
-    assert serial.matrix == threaded.matrix
+    for n, k in ((4, 1), (5, 2), (6, 2)):
+        distinct = [random_box(rng, n) for _ in range(3)]
+        bodies = [distinct[0], distinct[1], distinct[0].translate([1] * n),
+                  distinct[2], distinct[1], distinct[0]]
+        c_bodies = [random_box(rng, n) for _ in range(n - 2 * k)]
+        fm = build_matrix(bodies, k, c_bodies)
+        tail = tuple((c, 1) for c in c_bodies)
+        for i, a in enumerate(bodies):
+            for j, b in enumerate(bodies):
+                t = BodyTuple(n, ((a, k), (b, k)) + tail)
+                assert fm.matrix[i, j] == mixed_volume(t)
 
 
 def test_shephard_verify_single_body():
@@ -205,6 +220,34 @@ def test_verify_rejects_tampered_entry():
     tampered = certificate_from_json(json.dumps(data))
     report = verify_certificate(tampered)
     assert not report.ok and "entry" in report.reason
+
+
+@pytest.fixture(scope="module")
+def reduction_n6_k3():
+    return reduce_to_general_k(pipeline_base_k2(6), 3)
+
+
+def _first_repeated_class_pair(classes):
+    """First off-diagonal (i, j), row-major, whose class pair came earlier."""
+    seen = set()
+    for i in range(len(classes)):
+        for j in range(i, len(classes)):
+            key = tuple(sorted((classes[i], classes[j])))
+            if key in seen and i != j:
+                return i, j
+            seen.add(key)
+    return None
+
+
+def test_verify_checks_every_entry_of_a_repeated_class(reduction_n6_k3):
+    cert = reduction_n6_k3
+    _, classes = width_classes(cert.bodies)
+    i, j = _first_repeated_class_pair(classes)
+    data = json.loads(certificate_to_json(cert))
+    data["matrix"][i][j] = data["matrix"][j][i] = "9999"
+    report = verify_certificate(certificate_from_json(json.dumps(data)))
+    assert not report.ok
+    assert report.reason.startswith(f"matrix entry ({i},{j}) is 9999, recomputed ")
 
 
 def test_verify_rejects_wrong_subset():

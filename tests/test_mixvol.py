@@ -10,6 +10,7 @@ from boxcert.mixvol import (
     af_check,
     body_tuple,
     iterated_af_check,
+    kfold_via_derivatives,
     mixed_volume,
     mixed_volume_via_derivatives,
     polarization_identity_check,
@@ -231,3 +232,23 @@ def test_nonnegative_with_degenerate_bodies():
         assert value >= 0
         if all(b.is_nondegenerate for b in bodies):
             assert value > 0
+
+
+def test_kfold_prefix_pairing_matches_both_paths():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randrange(3, 8)
+        k = rng.randrange(1, (n + 1) // 2)  # leaves at least one C body
+        bodies = [random_box(rng, n) for _ in range(3)]
+        c_bodies = [random_box(rng, n) for _ in range(n - 2 * k)]
+        entry = kfold_via_derivatives(n, bodies, k, c_bodies)
+        tail = tuple((c, 1) for c in c_bodies)
+        for a in range(3):
+            for b in range(3):
+                t = BodyTuple(n, ((bodies[a], k), (bodies[b], k)) + tail)
+                assert entry(a, b) == mixed_volume(t) == mixed_volume_via_derivatives(t)
+
+
+def test_kfold_via_derivatives_validates_bookkeeping():
+    with pytest.raises(ValueError):
+        kfold_via_derivatives(4, [unit_cube(4)], 2, [unit_cube(4)])
