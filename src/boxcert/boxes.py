@@ -1,128 +1,74 @@
-"""Axis-aligned boxes and their support vectors.
+"""Axis-aligned boxes, which are their widths.
 
 The ambient reference body is the unit cube in R^n; the family of bodies
 sharing its facet structure is exactly the nondegenerate axis-aligned boxes
-(all side lengths > 0). A box is determined for every purpose here by its
-dimension, its widths (side lengths), and its lower corner; mixed volumes
-only ever see the widths, since they are translation invariant.
-
-Support vectors live in R^(2n): one support value per facet normal, the
-normals being +e_1..+e_n, -e_1..-e_n. The slab widths s_j = h_j^+ + h_j^-
-recover the box widths, and the volume polynomial in these coordinates is
-the product s_1 * ... * s_n (see the diffop module).
+(all side lengths > 0). Mixed volumes are translation invariant, so a box
+is determined for every purpose here by its dimension and its widths (side
+lengths); no position is stored. Widths combine linearly under Minkowski
+combination, and the volume polynomial in them is the product
+w_1 * ... * w_n (see the diffop module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .exactlin import Rat, rat, rat_from_str, rat_to_str
+from .exactlin import Rat, rat, rats_from_json
 
 
 @dataclass(frozen=True)
 class BoxBody:
-    """An axis-aligned box: lower corner ``offset``, side lengths ``widths``."""
+    """An axis-aligned box in R^n with side lengths ``widths``."""
 
     n: int
     widths: tuple[Rat, ...]
-    offset: tuple[Rat, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         widths = tuple(rat(w) for w in self.widths)
-        offset = self.offset
-        offset = (
-            tuple(Fraction(0) for _ in range(self.n))
-            if offset is None
-            else tuple(rat(o) for o in offset)
-        )
-        if len(widths) != self.n or len(offset) != self.n:
-            raise ValueError("widths/offset length must equal the dimension")
+        if len(widths) != self.n:
+            raise ValueError("widths length must equal the dimension")
         if any(w < 0 for w in widths):
             raise ValueError("widths must be nonnegative")
         object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "offset", offset)
 
     @property
     def is_nondegenerate(self) -> bool:
         """True iff the box has nonempty interior (all widths > 0)."""
         return all(w > 0 for w in self.widths)
 
-    def translate(self, shift: Sequence) -> "BoxBody":
-        if len(shift) != self.n:
-            raise ValueError("dimension mismatch")
-        return BoxBody(
-            self.n, self.widths, tuple(o + rat(s) for o, s in zip(self.offset, shift))
-        )
-
     def scale(self, c) -> "BoxBody":
         c = rat(c)
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
-        return BoxBody(
-            self.n,
-            tuple(c * w for w in self.widths),
-            tuple(c * o for o in self.offset),
-        )
-
-
-@dataclass(frozen=True)
-class SupportVector:
-    """Support values of a box in the facet directions +e_j and -e_j."""
-
-    n: int
-    h_plus: tuple[Rat, ...]
-    h_minus: tuple[Rat, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "h_plus", tuple(rat(h) for h in self.h_plus))
-        object.__setattr__(self, "h_minus", tuple(rat(h) for h in self.h_minus))
-        if len(self.h_plus) != self.n or len(self.h_minus) != self.n:
-            raise ValueError("support vector length must equal the dimension")
-
-    @property
-    def slab_widths(self) -> tuple[Rat, ...]:
-        """s_j = h_j^+ + h_j^-; translation invariant."""
-        return tuple(p + m for p, m in zip(self.h_plus, self.h_minus))
+        return BoxBody(self.n, tuple(c * w for w in self.widths))
 
 
 def unit_cube(n: int) -> BoxBody:
     return BoxBody(n, tuple(Fraction(1) for _ in range(n)))
 
 
-def point(n: int, at: Sequence = None) -> BoxBody:
+def point(n: int) -> BoxBody:
     """A degenerate box with all widths zero."""
-    return BoxBody(n, tuple(Fraction(0) for _ in range(n)), at)
+    return BoxBody(n, tuple(Fraction(0) for _ in range(n)))
 
 
-def support_vector(box: BoxBody) -> SupportVector:
-    """h_j^+ = offset_j + width_j (top face), h_j^- = -offset_j (bottom face)."""
-    return SupportVector(
-        box.n,
-        tuple(o + w for o, w in zip(box.offset, box.widths)),
-        tuple(-o for o in box.offset),
-    )
-
-
-def box_from_support(sv: SupportVector) -> BoxBody:
-    """Inverse of support_vector; requires all slab widths >= 0."""
-    if any(s < 0 for s in sv.slab_widths):
-        raise ValueError("support vector is not realizable: negative slab width")
-    return BoxBody(sv.n, sv.slab_widths, tuple(-h for h in sv.h_minus))
+def box_from_widths(n: int, data) -> BoxBody:
+    """A box in R^n from a JSON list of rational strings, one per width."""
+    return BoxBody(n, rats_from_json(data, "widths"))
 
 
 def minkowski_combine(terms: Iterable[tuple]) -> BoxBody:
     """Minkowski combination sum_i c_i K_i with coefficients c_i >= 0.
 
-    Widths and offsets combine linearly, hence so do support vectors.
+    Widths combine linearly.
     """
     terms = [(rat(c), box) for c, box in terms]
     if not terms:
         raise ValueError("empty combination")
     n = terms[0][1].n
     widths = [Fraction(0)] * n
-    offset = [Fraction(0)] * n
     for c, box in terms:
         if c < 0:
             raise ValueError("negative coefficient in Minkowski combination")
@@ -130,29 +76,12 @@ def minkowski_combine(terms: Iterable[tuple]) -> BoxBody:
             raise ValueError("dimension mismatch in Minkowski combination")
         for j in range(n):
             widths[j] += c * box.widths[j]
-            offset[j] += c * box.offset[j]
-    return BoxBody(n, tuple(widths), tuple(offset))
+    return BoxBody(n, tuple(widths))
 
 
 def volume(box: BoxBody) -> Rat:
-    """Product of the widths; equals the volume polynomial at the support vector."""
+    """Product of the widths; equals the volume polynomial at the widths."""
     result = Fraction(1)
     for w in box.widths:
         result *= w
     return result
-
-
-def box_to_json(box: BoxBody) -> dict:
-    return {
-        "n": box.n,
-        "widths": [rat_to_str(w) for w in box.widths],
-        "offset": [rat_to_str(o) for o in box.offset],
-    }
-
-
-def box_from_json(data: dict) -> BoxBody:
-    return BoxBody(
-        int(data["n"]),
-        tuple(rat_from_str(w) for w in data["widths"]),
-        tuple(rat_from_str(o) for o in data.get("offset", ["0"] * int(data["n"]))),
-    )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .boxes import BoxBody, unit_cube
+from .boxes import BoxBody, box_from_widths, unit_cube
 from .diffop import (
     apply_op,
     h_vector_cube,
@@ -34,11 +34,12 @@ from .diffop import (
     primitive_space_basis,
     volume_polynomial,
 )
-from .exactlin import rank, rat_from_str, rat_to_str
+from .exactlin import json_list, rank, rat_to_str, rats_from_json
 from .fedotov import (
     certificate_to_json,
     construct_counterexample,
     load_certificate,
+    random_box,
     random_search,
     shephard_verify,
     verify_certificate,
@@ -46,7 +47,7 @@ from .fedotov import (
 )
 from .hypmat import CoreTooLargeError
 from .mixvol import BodyTuple, mixed_volume, mixed_volume_via_derivatives
-from .selftest import random_box, run_all
+from .selftest import run_all
 
 
 class UsageError(Exception):
@@ -100,18 +101,23 @@ def _load_json(path: str) -> dict:
 
 
 def _box_from_entry(n: int, entry: dict) -> BoxBody:
-    widths = tuple(rat_from_str(w) for w in entry["widths"])
+    """One body of an input file; an optional "offset" is checked, then dropped.
+
+    Mixed volumes are translation invariant, so a box is its widths.
+    """
+    box = box_from_widths(n, entry["widths"])
     offset = entry.get("offset")
-    if offset is not None:
-        offset = tuple(rat_from_str(o) for o in offset)
-    return BoxBody(n, widths, offset)
+    if offset is not None and len(rats_from_json(offset, "offset")) != n:
+        raise ValueError("offset length must equal the dimension")
+    return box
 
 
 def cmd_mixvol(config: RunConfig) -> int:
     data = _load_json(config.path)
     n = int(data["n"])
     entries = tuple(
-        (_box_from_entry(n, e), int(e.get("multiplicity", 1))) for e in data["bodies"]
+        (_box_from_entry(n, e), int(e.get("multiplicity", 1)))
+        for e in json_list(data["bodies"], "bodies")
     )
     t = BodyTuple(n, entries)
     value = mixed_volume(t)
@@ -132,8 +138,8 @@ def cmd_shephard(config: RunConfig) -> int:
         n = int(data["n"])
         instances = [
             (
-                [_box_from_entry(n, e) for e in data["bodies"]],
-                [_box_from_entry(n, e) for e in data["c_bodies"]],
+                [_box_from_entry(n, e) for e in json_list(data["bodies"], "bodies")],
+                [_box_from_entry(n, e) for e in json_list(data["c_bodies"], "c_bodies")],
             )
         ]
     else:
@@ -193,23 +199,18 @@ def cmd_fedotov_construct(config: RunConfig) -> int:
         return 1
     report = verify_certificate(cert)
     payload = certificate_to_json(cert)
+    if config.format == "json" and not config.output:
+        sys.stdout.write(payload)
+        return 0 if report.ok else 1
     if config.output:
         _emit(payload, config)
-        summary = (
-            f"certificate: n={cert.n} k={cert.k} m={len(cert.bodies)} "
-            f"subset={list(cert.subset)} det={rat_to_str(cert.subset_det)}"
-        )
-        _print(summary)
-        _print(f"independent verification: {'ok' if report.ok else 'FAILED'}")
-    elif config.format == "json":
-        sys.stdout.write(payload)
-    else:
-        _print(
-            f"certificate: n={cert.n} k={cert.k} m={len(cert.bodies)} "
-            f"subset={list(cert.subset)} det={rat_to_str(cert.subset_det)}"
-        )
+    _print(
+        f"certificate: n={cert.n} k={cert.k} m={len(cert.bodies)} "
+        f"subset={list(cert.subset)} det={rat_to_str(cert.subset_det)}"
+    )
+    if not config.output:
         _print(f"<x,My> = {rat_to_str(cert.pair_xy)}, <x,Mx> = {rat_to_str(cert.pair_xx)}")
-        _print(f"independent verification: {'ok' if report.ok else 'FAILED'}")
+    _print(f"independent verification: {'ok' if report.ok else 'FAILED'}")
     return 0 if report.ok else 1
 
 
@@ -453,10 +454,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = _config_from_args(args)
         return _DISPATCH[config.command](config)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
 

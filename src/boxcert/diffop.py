@@ -245,10 +245,11 @@ def primitive_space_basis(
 ) -> list[SlabOperator]:
     """Basis of the degree-k operators annihilating D_L prod_i D_{C_i} V.
 
-    ``reference`` is the body L. Since support vectors of nondegenerate
-    boxes span all slab directions, vanishing of the pairing against every
-    box in the family is the same as identical vanishing of the degree
-    (k-1) polynomial, which is the linear system solved here.
+    ``reference`` is the body L. The widths of nondegenerate boxes fill
+    the open positive orthant, on which a polynomial vanishes only if it is
+    zero, so vanishing of the pairing against every box in the family is
+    the same as identical vanishing of the degree (k-1) polynomial, which
+    is the linear system solved here.
     """
     n = reference.n
     if 2 * k > n:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -56,8 +56,16 @@ def rat_from_str(text: str) -> Rat:
     return Fraction(text)
 
 
-def vec(values: Iterable) -> Vector:
-    return tuple(rat(v) for v in values)
+def json_list(value, what: str) -> list:
+    """``value`` if it is a JSON array; iterating a string would split it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def rats_from_json(value, what: str) -> Vector:
+    """A JSON array of rational strings, each parsed by ``rat_from_str``."""
+    return tuple(rat_from_str(v) for v in json_list(value, what))
 
 
 def dot(u: Sequence[Rat], v: Sequence[Rat]) -> Rat:
@@ -129,12 +137,6 @@ class RatMatrix:
         """All entries strictly positive."""
         return all(x > 0 for row in self.entries for x in row)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self.entries)) if self.rows else RatMatrix([])
 
@@ -163,15 +165,10 @@ def integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
+def integer_rows(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
     """Scale each row to integers; return (rows, product of scale factors)."""
-    rows = []
-    scale = 1
-    for row in m.entries:
-        int_row, den = integer_row(row)
-        scale *= den
-        rows.append(int_row)
-    return rows, scale
+    scaled = [integer_row(row) for row in rows]
+    return [z for z, _ in scaled], prod(d for _, d in scaled)
 
 
 def det(m: RatMatrix) -> Rat:
@@ -185,7 +182,7 @@ def det(m: RatMatrix) -> Rat:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a, scale = _integer_rows(m)
+    a, scale = integer_rows(m.entries)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -330,13 +327,13 @@ def solve(m: RatMatrix, b: Sequence[Rat]) -> Vector:
 
 
 def principal_submatrix(m: RatMatrix, subset: Iterable[int]) -> RatMatrix:
-    """Rows and columns of a symmetric matrix restricted to ``subset``.
+    """Rows and columns of a square matrix restricted to ``subset``.
 
     Indices are 0-based, must be nonempty, in range, and are taken in
-    ascending order.
+    ascending order. Symmetry is not re-checked here: callers pass matrices
+    they validated or built symmetric, and a check would cost a full pass
+    over the matrix per minor.
     """
-    if not m.is_symmetric:
-        raise ValueError("principal submatrix requires a symmetric matrix")
     idx = sorted(set(subset))
     if not idx:
         raise ValueError("empty index subset")

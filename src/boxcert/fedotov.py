@@ -24,7 +24,7 @@ from itertools import product
 from math import factorial
 from typing import Optional, Sequence
 
-from .boxes import BoxBody, minkowski_combine, unit_cube
+from .boxes import BoxBody, box_from_widths, minkowski_combine, unit_cube
 from .diffop import (
     SlabOperator,
     apply_op,
@@ -39,14 +39,17 @@ from .exactlin import (
     RatMatrix,
     det,
     dot,
+    json_list,
     principal_submatrix,
     rat_from_str,
     rat_to_str,
+    rats_from_json,
 )
 from .hypmat import (
     SUBSET_ENUMERATION_CAP,
     CoreTooLargeError,
     Violation,
+    _principal_minors,
     find_violation,
     is_hyperbolic,
     sylvester_violation,
@@ -61,6 +64,13 @@ from .mixvol import (
 CERTIFICATE_VERSION = 1
 
 DEFAULT_SEARCH_GRID = tuple(Fraction(j, 4) for j in range(1, 17))
+
+
+def random_box(
+    rng: random.Random, n: int, grid: Sequence[Rat] = DEFAULT_SEARCH_GRID
+) -> BoxBody:
+    """A box in R^n whose widths are drawn from ``grid`` in order."""
+    return BoxBody(n, tuple(rng.choice(grid) for _ in range(n)))
 
 
 @dataclass(frozen=True)
@@ -145,21 +155,14 @@ def shephard_verify(fm: FedotovMatrix) -> ShephardReport:
     """
     if fm.k != 1:
         raise ValueError("shephard_verify applies to k = 1 matrices")
-    size = fm.m
-    if size > SUBSET_ENUMERATION_CAP:
-        raise ValueError("matrix too large for exhaustive minor enumeration")
     violations = []
     checked = 0
-    from itertools import combinations
-
-    for card in range(1, size + 1):
-        parity = -1 if card % 2 else 1
-        for subset in combinations(range(size), card):
-            value = det(principal_submatrix(fm.matrix, subset))
-            checked += 1
-            if parity * value > 0:
-                violations.append(Violation(subset, value))
-    return ShephardReport(not violations, checked, tuple(violations), det(fm.matrix))
+    value = Fraction(1)  # the full set comes last; det of a 0x0 matrix is 1
+    for subset, value in _principal_minors(fm.matrix):
+        checked += 1
+        if (-1) ** len(subset) * value > 0:
+            violations.append(Violation(subset, value))
+    return ShephardReport(not violations, checked, tuple(violations), value)
 
 
 @dataclass(frozen=True)
@@ -428,10 +431,6 @@ class SearchStats:
     found_trial: Optional[int]
 
 
-def _random_box(rng: random.Random, n: int, grid: Sequence[Rat]) -> BoxBody:
-    return BoxBody(n, tuple(rng.choice(grid) for _ in range(n)))
-
-
 def random_search(
     n: int,
     k: int,
@@ -457,8 +456,8 @@ def random_search(
     grid = tuple(grid) if grid is not None else DEFAULT_SEARCH_GRID
     for trial in range(trials):
         rng = random.Random(f"boxcert:{seed}:{trial}")
-        bodies = [_random_box(rng, n, grid) for _ in range(m)]
-        c_bodies = [_random_box(rng, n, grid) for _ in range(n - 2 * k)]
+        bodies = [random_box(rng, n, grid) for _ in range(m)]
+        c_bodies = [random_box(rng, n, grid) for _ in range(n - 2 * k)]
         fm = build_matrix(bodies, k, c_bodies)
         violation = sylvester_violation(fm.matrix)
         if violation is not None:
@@ -574,7 +573,7 @@ def _label_to_json(label):
 
 def _label_from_json(data):
     if isinstance(data, list):
-        return (int(data[0]), tuple(int(b) for b in data[1]))
+        return (int(data[0]), tuple(int(b) for b in json_list(data[1], "label pattern")))
     return int(data)
 
 
@@ -604,26 +603,27 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """Parse a certificate; every array field must be a JSON list."""
     data = json.loads(text)
     n = int(data["n"])
+
+    def boxes(key: str) -> tuple[BoxBody, ...]:
+        return tuple(box_from_widths(n, ws) for ws in json_list(data[key], key))
+
     return Certificate(
         n=n,
         k=int(data["k"]),
-        labels=tuple(_label_from_json(l) for l in data["labels"]),
-        bodies=tuple(
-            BoxBody(n, tuple(rat_from_str(w) for w in ws)) for ws in data["bodies"]
-        ),
-        c_bodies=tuple(
-            BoxBody(n, tuple(rat_from_str(w) for w in ws)) for ws in data["c_bodies"]
-        ),
-        x=tuple(rat_from_str(v) for v in data["x"]),
-        y=tuple(rat_from_str(v) for v in data["y"]),
+        labels=tuple(_label_from_json(l) for l in json_list(data["labels"], "labels")),
+        bodies=boxes("bodies"),
+        c_bodies=boxes("c_bodies"),
+        x=rats_from_json(data["x"], "x"),
+        y=rats_from_json(data["y"], "y"),
         pair_xy=None if data["pair_xy"] is None else rat_from_str(data["pair_xy"]),
         pair_xx=None if data["pair_xx"] is None else rat_from_str(data["pair_xx"]),
         matrix=RatMatrix(
-            [[rat_from_str(v) for v in row] for row in data["matrix"]]
+            rats_from_json(row, "matrix row") for row in json_list(data["matrix"], "matrix")
         ),
-        subset=tuple(int(i) for i in data["subset"]),
+        subset=tuple(int(i) for i in json_list(data["subset"], "subset")),
         subset_det=rat_from_str(data["subset_det"]),
         trace=data["trace"],
         version=int(data["version"]),

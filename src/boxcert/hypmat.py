@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactlin import (
     Rat,
@@ -81,6 +81,23 @@ def is_hyperbolic(m: RatMatrix) -> bool:
     return inertia(m).n_pos == 1
 
 
+def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
+    """(I, det M_I) for every nonempty principal subset I of a square matrix.
+
+    Subsets come smallest-first, lexicographically within a size, so the
+    last one is the full index set.
+    """
+    size = m.rows
+    if size > SUBSET_ENUMERATION_CAP:
+        raise ValueError(
+            f"dimension {size} exceeds the exhaustive minor enumeration cap "
+            f"{SUBSET_ENUMERATION_CAP}"
+        )
+    for card in range(1, size + 1):
+        for subset in combinations(range(size), card):
+            yield subset, det(principal_submatrix(m, subset))
+
+
 def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     """First principal subset with (-1)^|I| det M_I > 0, or None.
 
@@ -89,18 +106,9 @@ def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     the matrix is hyperbolic.
     """
     _require_symmetric_positive(m)
-    size = m.rows
-    if size > SUBSET_ENUMERATION_CAP:
-        raise ValueError(
-            f"dimension {size} too large for exhaustive enumeration; "
-            "shrink to a core first (greedy_core)"
-        )
-    for card in range(1, size + 1):
-        parity = -1 if card % 2 else 1
-        for subset in combinations(range(size), card):
-            value = det(principal_submatrix(m, subset))
-            if parity * value > 0:
-                return Violation(subset, value)
+    for subset, value in _principal_minors(m):
+        if (-1) ** len(subset) * value > 0:
+            return Violation(subset, value)
     return None
 
 
@@ -187,15 +195,6 @@ def greedy_core(m: RatMatrix) -> tuple[int, ...]:
                     start += 1
             window //= 2
     return tuple(live)
-
-
-def gram_pair_values(
-    m: RatMatrix, x: Sequence[Rat], y: Sequence[Rat]
-) -> tuple[Rat, Rat, Rat]:
-    """(<x,Mx>, <y,My>, <x,My>) evaluated exactly."""
-    mx = m.matvec(x)
-    my = m.matvec(y)
-    return dot(x, mx), dot(y, my), dot(x, my)
 
 
 def witness_implies_two_positive(gx: Rat, gy: Rat, gxy: Rat) -> bool:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .boxes import BoxBody, minkowski_combine
 from .diffop import contract, op_from_box, volume_polynomial
-from .exactlin import Rat, integer_row
+from .exactlin import Rat, integer_row, integer_rows
 
 MAX_DIMENSION = 12
 
@@ -108,13 +108,8 @@ def _int_permanent(rows: list[list[int]]) -> int:
 
 def mixed_volume(t: BodyTuple) -> Rat:
     """Exact mixed volume via the integer permanent (reference path)."""
-    scale = 1
-    int_rows = []
-    for row in t.width_rows:
-        int_row, den = integer_row(row)
-        scale *= den
-        int_rows.append(int_row)
-    return Fraction(_int_permanent(int_rows), factorial(t.n) * scale)
+    rows, scale = integer_rows(t.width_rows)
+    return Fraction(_int_permanent(rows), factorial(t.n) * scale)
 
 
 def mixed_volume_via_derivatives(t: BodyTuple) -> Rat:

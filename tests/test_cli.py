@@ -160,8 +160,14 @@ def _verify_data(tmp_path, data, *flags):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("bodies", 5), ("matrix", None), ("version", [1])],
-    ids=["bodies-int", "matrix-null", "version-list"],
+    [
+        ("bodies", 5),
+        ("matrix", None),
+        ("version", [1]),
+        ("subset", "0123"),
+        ("bodies", ["1212", ["1", "2", "2", "1"]]),
+    ],
+    ids=["bodies-int", "matrix-null", "version-list", "subset-string", "bodies-row"],
 )
 def test_verify_malformed_field_exits_1(tmp_path, capsys, cert_n4_data, field, value):
     data = dict(cert_n4_data, **{field: value})
@@ -206,3 +212,35 @@ def test_mixvol_rejects_json_float(tmp_path, capsys):
     assert main(["mixvol", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "float" in captured.err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"widths": "12"},
+        {"widths": ["1", "2"], "offset": [0.5, "0"]},
+        {"widths": ["1", "2"], "offset": ["0"]},
+        {"widths": ["1", "2"], "offset": ["0", "0", "0"]},
+        {"widths": ["1", "2"], "offset": "00"},
+    ],
+    ids=["widths-string", "offset-float", "offset-short", "offset-long", "offset-string"],
+)
+def test_mixvol_rejects_malformed_body(tmp_path, capsys, body):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"n": 2, "bodies": [body, {"widths": ["3", "1"]}]}))
+    assert main(["mixvol", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: ")
+
+
+def test_input_offset_is_checked_then_ignored(tmp_path, capsys):
+    path = tmp_path / "tuple.json"
+    bodies = [{"widths": ["1", "2"], "offset": ["-5/2", "7"]}, {"widths": ["3", "1"]}]
+    path.write_text(json.dumps({"n": 2, "bodies": bodies}))
+    assert main(["mixvol", str(path)]) == 0
+    assert capsys.readouterr().out == "mixed volume = 7/2\n"
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"n": 2, "bodies": bodies, "c_bodies": []}))
+    assert main(["shephard", "--file", str(instance)]) == 0
+    assert "all minor signs consistent" in capsys.readouterr().out
+

@@ -23,7 +23,7 @@ from boxcert.fedotov import (
     verify_certificate,
     width_classes,
 )
-from boxcert.hypmat import is_hyperbolic
+from boxcert.hypmat import is_hyperbolic, sylvester_violation
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import random_box
 
@@ -61,9 +61,9 @@ def test_build_matrix_validates_bookkeeping():
 
 def test_width_classes_group_by_widths_only():
     a, b = BoxBody(3, (1, 2, 3)), BoxBody(3, (2, 2, 2))
-    bodies = [a, b, a.translate((1, 0, 0)), b, a]
+    bodies = [a, b, BoxBody(3, (1, 2, 3)), b, a]
     reps, classes = width_classes(bodies)
-    assert reps == [a, b]
+    assert reps == [a, b] and reps[0] is a
     assert classes == [0, 1, 0, 1, 0]
 
 
@@ -71,7 +71,7 @@ def test_build_matrix_repeated_widths_match_reference():
     rng = random.Random(1)
     for n, k in ((4, 1), (5, 2), (6, 2)):
         distinct = [random_box(rng, n) for _ in range(3)]
-        bodies = [distinct[0], distinct[1], distinct[0].translate([1] * n),
+        bodies = [distinct[0], distinct[1], BoxBody(n, distinct[0].widths),
                   distinct[2], distinct[1], distinct[0]]
         c_bodies = [random_box(rng, n) for _ in range(n - 2 * k)]
         fm = build_matrix(bodies, k, c_bodies)
@@ -87,6 +87,28 @@ def test_shephard_verify_single_body():
     report = shephard_verify(fm)
     assert report.ok and report.subsets_checked == 1
     assert report.determinant == fm.matrix[0, 0] > 0
+
+
+def test_shephard_verify_determinant_is_full_minor():
+    rng = random.Random(5)
+    for _ in range(10):
+        n = rng.randrange(2, 6)
+        bodies = [random_box(rng, n) for _ in range(rng.randrange(1, 6))]
+        fm = build_matrix(bodies, 1, [random_box(rng, n) for _ in range(n - 2)])
+        report = shephard_verify(fm)
+        assert report.subsets_checked == 2 ** fm.m - 1
+        assert report.determinant == det(fm.matrix)
+
+
+def test_shephard_verify_accepts_zero_width_body():
+    # widths (0, 0, 1) give a zero diagonal entry: sylvester_violation rejects
+    # such a matrix, shephard_verify must not
+    fm = build_matrix([BoxBody(3, (1, 2, 3)), BoxBody(3, (0, 0, 1))], 1, [unit_cube(3)])
+    with pytest.raises(ValueError):
+        sylvester_violation(fm.matrix)
+    report = shephard_verify(fm)
+    assert report.ok and report.subsets_checked == 3
+    assert report.determinant == F(-1, 4)
 
 
 def test_shephard_verify_homothety_singular():

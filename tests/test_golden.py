@@ -1,0 +1,44 @@
+"""Golden stdout digests: CLI output must not drift between revisions.
+
+Criterion 10 checks that output is deterministic within one revision. These
+digests pin it across revisions: a change that alters any byte of these
+commands' stdout fails here and has to say why the output moved.
+"""
+
+import hashlib
+
+import pytest
+
+from boxcert.cli import main
+
+GOLDEN = {
+    "construct-4-2-json": (
+        ["fedotov", "construct", "--n", "4", "--k", "2", "--format", "json"],
+        "f4047e561eb80147349896ea3738fbfeed663fe3a4b9fb3da0f5116e19e99835",
+    ),
+    "search-4-2-m4": (
+        ["fedotov", "search", "--n", "4", "--k", "2", "--m", "4",
+         "--trials", "100", "--seed", "7"],
+        "2d462ea1e1e42c828a8b18c8688924ff9077ae3727abb4a5e7c527e9e7e8198f",
+    ),
+    "shephard-5-5": (
+        ["shephard", "--n", "5", "--m", "5", "--seed", "1", "--trials", "3"],
+        "3af477df9ec9b050f39af1bc5ccffffd32cbbf343ea65c22391af726a7a4ccd1",
+    ),
+    "hodge-primitive-4-2": (
+        ["hodge", "primitive", "--n", "4", "--k", "2"],
+        "79c8cca078c8facae1478c1a6903e261549c36b07b669bec41c81374455acc58",
+    ),
+    "selftest": (
+        ["selftest"],
+        "0bf2abae02732f4268ff519215290171a1f5c7b759155daa40efdb1658452963",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_matches_golden_digest(name, capsys):
+    argv, digest = GOLDEN[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -9,6 +9,7 @@ from boxcert.fedotov import build_matrix
 from boxcert.hypmat import (
     SUBSET_ENUMERATION_CAP,
     Violation,
+    _principal_minors,
     af_form_check,
     equality_witness,
     find_violation,
@@ -74,6 +75,19 @@ def test_sylvester_prefers_smallest_then_lexicographic():
     ]
     violation = sylvester_violation(RatMatrix(rows))
     assert violation.subset == (0, 1)
+
+
+def test_principal_minors_order_and_values():
+    rng = random.Random(2)
+    for size in range(1, 6):
+        m = random_symmetric_positive(rng, size)
+        minors = list(_principal_minors(m))
+        subsets = [subset for subset, _ in minors]
+        assert len(subsets) == 2 ** size - 1
+        assert subsets == sorted(subsets, key=lambda s: (len(s), s))
+        assert subsets[-1] == tuple(range(size))
+        for subset, value in minors:
+            assert value == det(principal_submatrix(m, subset))
 
 
 def test_sylvester_dimension_cap():

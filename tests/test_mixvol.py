@@ -77,17 +77,6 @@ def test_multilinearity():
         assert lhs == rhs
 
 
-def test_translation_invariance():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randrange(1, 6)
-        bodies = [random_box(rng, n) for _ in range(n)]
-        moved = [
-            b.translate([F(rng.randrange(-5, 6), 2) for _ in range(n)]) for b in bodies
-        ]
-        assert mixed_volume(body_tuple(*moved)) == mixed_volume(body_tuple(*bodies))
-
-
 def test_derivative_path_trivial_cases():
     for n in range(1, 6):
         t = BodyTuple(n, ((unit_cube(n), n),))
