@@ -9,9 +9,14 @@ Subcommands:
     hodge primitive          primitive-space basis, dimensions, form values
     selftest                 run every property suite
 
-Exit status: 0 success, 1 verification failure, 2 usage error. Output for a
-fixed command line (including --seed) is byte-identical across runs and
-independent of --threads.
+Each subparser names its handler through ``set_defaults(handler=...)``, and
+the handler takes the parsed ``argparse.Namespace`` itself as its
+configuration.
+
+Exit status: 0 success, 1 verification failure, 2 usage error (bad flags, a
+malformed ``mixvol``/``shephard`` input file, or a bound exceeded before any
+work starts). Output for a fixed command line (including --seed) is
+byte-identical across runs and independent of --threads.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -34,7 +38,7 @@ from .diffop import (
     primitive_space_basis,
     volume_polynomial,
 )
-from .exactlin import json_list, rank, rat_to_str, rats_from_json
+from .exactlin import json_int, json_list, rank, rat_to_str, rats_from_json
 from .fedotov import (
     certificate_to_json,
     construct_counterexample,
@@ -45,7 +49,7 @@ from .fedotov import (
     verify_certificate,
     build_matrix,
 )
-from .hypmat import CoreTooLargeError
+from .hypmat import SUBSET_ENUMERATION_CAP, CoreTooLargeError
 from .mixvol import BodyTuple, mixed_volume, mixed_volume_via_derivatives
 from .selftest import run_all
 
@@ -54,33 +58,16 @@ class UsageError(Exception):
     """Bad flags or parameter bounds; maps to exit status 2."""
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters of a single invocation."""
-
-    command: str
-    n: Optional[int] = None
-    k: Optional[int] = None
-    m: Optional[int] = None
-    trials: Optional[int] = None
-    seed: int = 0
-    max_core_size: Optional[int] = None
-    format: str = "text"
-    output: Optional[str] = None
-    threads: int = 1
-    path: Optional[str] = None
-    scale: int = 1
-
-    def require_degree_bounds(self) -> None:
-        if self.n is None or self.k is None:
-            raise UsageError("--n and --k are required")
-        if self.k < 1 or 2 * self.k > self.n:
-            raise UsageError(f"need 1 <= k <= n/2, got n={self.n}, k={self.k}")
+def require_degree_bounds(args: argparse.Namespace) -> None:
+    if args.n is None or args.k is None:
+        raise UsageError("--n and --k are required")
+    if args.k < 1 or 2 * args.k > args.n:
+        raise UsageError(f"need 1 <= k <= n/2, got n={args.n}, k={args.k}")
 
 
-def _emit(payload: str, config: RunConfig) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+def _emit(payload: str, args: argparse.Namespace) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
@@ -100,24 +87,33 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``; a non-object or a missing key in an input file is a usage error."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise UsageError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
 def _box_from_entry(n: int, entry: dict) -> BoxBody:
     """One body of an input file; an optional "offset" is checked, then dropped.
 
     Mixed volumes are translation invariant, so a box is its widths.
     """
-    box = box_from_widths(n, entry["widths"])
+    box = box_from_widths(n, _field(entry, "widths", "body"))
     offset = entry.get("offset")
     if offset is not None and len(rats_from_json(offset, "offset")) != n:
         raise ValueError("offset length must equal the dimension")
     return box
 
 
-def cmd_mixvol(config: RunConfig) -> int:
-    data = _load_json(config.path)
-    n = int(data["n"])
+def cmd_mixvol(args: argparse.Namespace) -> int:
+    data = _load_json(args.file)
+    n = json_int(_field(data, "n", "input file"), "n")
     entries = tuple(
-        (_box_from_entry(n, e), int(e.get("multiplicity", 1)))
-        for e in json_list(data["bodies"], "bodies")
+        (_box_from_entry(n, e), json_int(e.get("multiplicity", 1), "multiplicity"))
+        for e in json_list(_field(data, "bodies", "input file"), "bodies")
     )
     t = BodyTuple(n, entries)
     value = mixed_volume(t)
@@ -125,39 +121,44 @@ def cmd_mixvol(config: RunConfig) -> int:
     if value != cross:  # pragma: no cover - would indicate an engine bug
         _print(f"INTERNAL ERROR: evaluation paths disagree: {value} vs {cross}")
         return 1
-    if config.format == "json":
-        _emit(json.dumps({"n": n, "mixed_volume": rat_to_str(value)}, indent=2) + "\n", config)
+    if args.format == "json":
+        _emit(json.dumps({"n": n, "mixed_volume": rat_to_str(value)}, indent=2) + "\n", args)
     else:
-        _emit(f"mixed volume = {rat_to_str(value)}\n", config)
+        _emit(f"mixed volume = {rat_to_str(value)}\n", args)
     return 0
 
 
-def cmd_shephard(config: RunConfig) -> int:
-    if config.path:
-        data = _load_json(config.path)
-        n = int(data["n"])
+def cmd_shephard(args: argparse.Namespace) -> int:
+    if args.file:
+        data = _load_json(args.file)
+        n = json_int(_field(data, "n", "input file"), "n")
         instances = [
-            (
-                [_box_from_entry(n, e) for e in json_list(data["bodies"], "bodies")],
-                [_box_from_entry(n, e) for e in json_list(data["c_bodies"], "c_bodies")],
+            tuple(
+                [_box_from_entry(n, e) for e in json_list(_field(data, key, "input file"), key)]
+                for key in ("bodies", "c_bodies")
             )
         ]
     else:
-        if config.n is None or config.m is None:
+        if args.n is None or args.m is None:
             raise UsageError("--n and --m are required without --file")
-        if config.n < 2:
+        if args.n < 2:
             raise UsageError("need n >= 2")
-        if config.m < 1:
+        if args.m < 1:
             raise UsageError("need m >= 1")
         instances = []
-        for trial in range(config.trials or 1):
-            rng = random.Random(f"boxcert:{config.seed}:{trial}")
+        for trial in range(args.trials or 1):
+            rng = random.Random(f"boxcert:{args.seed}:{trial}")
             instances.append(
                 (
-                    [random_box(rng, config.n) for _ in range(config.m)],
-                    [random_box(rng, config.n) for _ in range(config.n - 2)],
+                    [random_box(rng, args.n) for _ in range(args.m)],
+                    [random_box(rng, args.n) for _ in range(args.n - 2)],
                 )
             )
+    m = len(instances[0][0])
+    if m > SUBSET_ENUMERATION_CAP:
+        raise UsageError(
+            f"m = {m} exceeds the exhaustive minor enumeration cap {SUBSET_ENUMERATION_CAP}"
+        )
     results = []
     all_ok = True
     for index, (bodies, c_bodies) in enumerate(instances):
@@ -173,8 +174,8 @@ def cmd_shephard(config: RunConfig) -> int:
                 "violations": [v.to_json() for v in report.violations],
             }
         )
-    if config.format == "json":
-        _emit(json.dumps({"ok": all_ok, "instances": results}, indent=2) + "\n", config)
+    if args.format == "json":
+        _emit(json.dumps({"ok": all_ok, "instances": results}, indent=2) + "\n", args)
     else:
         lines = [
             f"instance {r['instance']}: {'ok' if r['ok'] else 'VIOLATION'} "
@@ -182,50 +183,48 @@ def cmd_shephard(config: RunConfig) -> int:
             for r in results
         ]
         lines.append("all minor signs consistent" if all_ok else "MINOR SIGN VIOLATION")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
     return 0 if all_ok else 1
 
 
-def cmd_fedotov_construct(config: RunConfig) -> int:
-    config.require_degree_bounds()
-    if config.k < 2:
+def cmd_fedotov_construct(args: argparse.Namespace) -> int:
+    require_degree_bounds(args)
+    if args.k < 2:
         raise UsageError("the k = 1 family is hyperbolic; need k >= 2")
     try:
-        cert = construct_counterexample(
-            config.n, config.k, max_core_size=config.max_core_size
-        )
+        cert = construct_counterexample(args.n, args.k, max_core_size=args.max_core_size)
     except CoreTooLargeError as exc:
         _print(f"construction aborted: {exc}")
         return 1
     report = verify_certificate(cert)
     payload = certificate_to_json(cert)
-    if config.format == "json" and not config.output:
+    if args.format == "json" and not args.output:
         sys.stdout.write(payload)
         return 0 if report.ok else 1
-    if config.output:
-        _emit(payload, config)
+    if args.output:
+        _emit(payload, args)
     _print(
         f"certificate: n={cert.n} k={cert.k} m={len(cert.bodies)} "
         f"subset={list(cert.subset)} det={rat_to_str(cert.subset_det)}"
     )
-    if not config.output:
+    if not args.output:
         _print(f"<x,My> = {rat_to_str(cert.pair_xy)}, <x,Mx> = {rat_to_str(cert.pair_xx)}")
     _print(f"independent verification: {'ok' if report.ok else 'FAILED'}")
     return 0 if report.ok else 1
 
 
-def cmd_fedotov_search(config: RunConfig) -> int:
-    config.require_degree_bounds()
-    if config.m is None or config.m < 1:
+def cmd_fedotov_search(args: argparse.Namespace) -> int:
+    require_degree_bounds(args)
+    if args.m is None or args.m < 1:
         raise UsageError("--m is required and must be >= 1")
-    trials = config.trials if config.trials is not None else 100
-    cert, stats = random_search(config.n, config.k, config.m, trials, config.seed)
+    trials = args.trials if args.trials is not None else 100
+    cert, stats = random_search(args.n, args.k, args.m, trials, args.seed)
     ok = True
     if cert is not None:
         ok = bool(verify_certificate(cert))
-        if config.output:
-            _emit(certificate_to_json(cert), config)
-    if config.format == "json":
+        if args.output:
+            _emit(certificate_to_json(cert), args)
+    if args.format == "json":
         result = {
             "trials": stats.trials,
             "found": stats.found,
@@ -245,13 +244,13 @@ def cmd_fedotov_search(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_fedotov_verify(config: RunConfig) -> int:
+def cmd_fedotov_verify(args: argparse.Namespace) -> int:
     try:
-        cert = load_certificate(config.path)
+        cert = load_certificate(args.file)
     except OSError as exc:
-        raise UsageError(f"cannot read {config.path}: {exc}") from exc
+        raise UsageError(f"cannot read {args.file}: {exc}") from exc
     except (KeyError, IndexError, TypeError, OverflowError, ValueError) as exc:
-        if config.format == "json":
+        if args.format == "json":
             sys.stdout.write(
                 json.dumps({"ok": False, "reason": f"malformed certificate: {exc}"}, indent=2)
                 + "\n"
@@ -260,7 +259,7 @@ def cmd_fedotov_verify(config: RunConfig) -> int:
             _print(f"certificate INVALID: malformed: {exc}")
         return 1
     report = verify_certificate(cert)
-    if config.format == "json":
+    if args.format == "json":
         sys.stdout.write(
             json.dumps({"ok": report.ok, "reason": report.reason}, indent=2) + "\n"
         )
@@ -275,9 +274,9 @@ def cmd_fedotov_verify(config: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_hodge_primitive(config: RunConfig) -> int:
-    config.require_degree_bounds()
-    n, k = config.n, config.k
+def cmd_hodge_primitive(args: argparse.Namespace) -> int:
+    require_degree_bounds(args)
+    n, k = args.n, args.k
     cube = unit_cube(n)
     c_bodies = [cube] * (n - 2 * k)
     basis = primitive_space_basis(k, cube, c_bodies)
@@ -307,8 +306,8 @@ def cmd_hodge_primitive(config: RunConfig) -> int:
         "ok": ok,
         "basis": elements,
     }
-    if config.format == "json":
-        _emit(json.dumps(result, indent=2) + "\n", config)
+    if args.format == "json":
+        _emit(json.dumps(result, indent=2) + "\n", args)
     else:
         lines = [
             f"h-vector: {result['h_vector']}",
@@ -321,14 +320,14 @@ def cmd_hodge_primitive(config: RunConfig) -> int:
                 f"signed sign ok: {element['signed_value_nonneg']}"
             )
         lines.append("all counts consistent" if ok else "COUNT MISMATCH")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
     return 0 if ok else 1
 
 
-def cmd_selftest(config: RunConfig) -> int:
-    results = run_all(seed=config.seed, scale=config.scale)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    results = run_all(seed=args.seed, scale=args.scale)
     all_ok = all(ok for _, ok, _ in results)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "ok": all_ok,
             "suites": [
@@ -336,14 +335,14 @@ def cmd_selftest(config: RunConfig) -> int:
                 for name, ok, detail in results
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", config)
+        _emit(json.dumps(payload, indent=2) + "\n", args)
     else:
         lines = [
             f"{'PASS' if ok else 'FAIL'} {name} - {detail}"
             for name, ok, detail in results
         ]
         lines.append("selftest passed" if all_ok else "selftest FAILED")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
     return 0 if all_ok else 1
 
 
@@ -354,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, n=False, k=False, m=False, trials=False, seed=False):
+    def add_common(p, handler, *, n=False, k=False, m=False, trials=False, seed=False):
+        p.set_defaults(handler=handler)
         if n:
             p.add_argument("--n", type=int, help="ambient dimension")
         if k:
@@ -378,82 +378,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mix = sub.add_parser("mixvol", help="evaluate a body tuple from a file")
     p_mix.add_argument("file", help="JSON file with n and bodies")
-    add_common(p_mix)
+    add_common(p_mix, cmd_mixvol)
 
     p_she = sub.add_parser("shephard", help="build and check a k=1 matrix")
     p_she.add_argument("--file", help="explicit instance file")
-    add_common(p_she, n=True, m=True, trials=True, seed=True)
+    add_common(p_she, cmd_shephard, n=True, m=True, trials=True, seed=True)
 
     p_fed = sub.add_parser("fedotov", help="counterexample pipeline")
     fed_sub = p_fed.add_subparsers(dest="subcommand", required=True)
 
     p_con = fed_sub.add_parser("construct", help="build a certified violation")
-    add_common(p_con, n=True, k=True)
+    add_common(p_con, cmd_fedotov_construct, n=True, k=True)
     p_con.add_argument(
         "--max-core-size", type=int, help="fail if the violating subset is larger"
     )
 
     p_sea = fed_sub.add_parser("search", help="randomized direct search")
-    add_common(p_sea, n=True, k=True, m=True, trials=True, seed=True)
+    add_common(p_sea, cmd_fedotov_search, n=True, k=True, m=True, trials=True, seed=True)
 
     p_ver = fed_sub.add_parser("verify", help="re-verify a certificate file")
     p_ver.add_argument("file", help="certificate path")
-    add_common(p_ver)
+    add_common(p_ver, cmd_fedotov_verify)
 
     p_hod = sub.add_parser("hodge", help="primitive spaces and form values")
     hod_sub = p_hod.add_subparsers(dest="subcommand", required=True)
     p_pri = hod_sub.add_parser("primitive", help="basis, dimension, form values")
-    add_common(p_pri, n=True, k=True)
+    add_common(p_pri, cmd_hodge_primitive, n=True, k=True)
 
     p_self = sub.add_parser("selftest", help="run every property suite")
     p_self.add_argument("--scale", type=int, default=1, help="instance count multiplier")
-    add_common(p_self, seed=True)
+    add_common(p_self, cmd_selftest, seed=True)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{args.command} {args.subcommand}"
-    config = RunConfig(
-        command=command,
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        m=getattr(args, "m", None),
-        trials=getattr(args, "trials", None),
-        seed=getattr(args, "seed", 0),
-        max_core_size=getattr(args, "max_core_size", None),
-        format=args.format,
-        output=getattr(args, "output", None),
-        threads=getattr(args, "threads", 1),
-        path=getattr(args, "file", None),
-        scale=getattr(args, "scale", 1),
-    )
-    if config.threads < 1:
-        raise UsageError("--threads must be at least 1")
-    if config.trials is not None and config.trials < 0:
-        raise UsageError("--trials must be nonnegative")
-    return config
-
-
-_DISPATCH = {
-    "mixvol": cmd_mixvol,
-    "shephard": cmd_shephard,
-    "fedotov construct": cmd_fedotov_construct,
-    "fedotov search": cmd_fedotov_search,
-    "fedotov verify": cmd_fedotov_verify,
-    "hodge primitive": cmd_hodge_primitive,
-    "selftest": cmd_selftest,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.command](config)
+        if args.threads < 1:
+            raise UsageError("--threads must be at least 1")
+        if getattr(args, "trials", None) is not None and args.trials < 0:
+            raise UsageError("--trials must be nonnegative")
+        return args.handler(args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

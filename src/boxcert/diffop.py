@@ -240,6 +240,24 @@ def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Ra
     return result.constant
 
 
+def _union_coefficients(
+    q: SlabPolynomial, row_subsets: Iterable[Subset], col_subsets: Sequence[Subset]
+) -> RatMatrix:
+    """Entry (U, S) is q's coefficient on the union of U and S if they are
+    disjoint, else 0.
+
+    Applying d^U d^S to q leaves that coefficient as the constant term when
+    |U| + |S| = deg q, and a squarefree product with a repeated index is zero.
+    """
+    rows = []
+    for u in row_subsets:
+        u_set = set(u)
+        rows.append(
+            [q.coeff(u + s) if u_set.isdisjoint(s) else Fraction(0) for s in col_subsets]
+        )
+    return RatMatrix(rows)
+
+
 def primitive_space_basis(
     k: int, reference: BoxBody, c_bodies: Sequence[BoxBody]
 ) -> list[SlabOperator]:
@@ -262,17 +280,7 @@ def primitive_space_basis(
         raise ValueError("all bodies must be nondegenerate")
     q = contract(volume_polynomial(n), [reference, *c_bodies])
     cols = list(combinations(range(n), k))
-    rows = []
-    for u in combinations(range(n), k - 1):
-        u_set = set(u)
-        row = []
-        for s in cols:
-            if u_set.isdisjoint(s):
-                row.append(q.coeff(tuple(sorted(u + s))))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    kernel = nullspace_basis(RatMatrix(rows))
+    kernel = nullspace_basis(_union_coefficients(q, combinations(range(n), k - 1), cols))
     return [
         SlabOperator(n, k, {s: c for s, c in zip(cols, z) if c != 0}) for z in kernel
     ]
@@ -376,17 +384,16 @@ def h_vector_cube(n: int) -> list[int]:
 
 def pairing_matrix(n: int, k: int) -> RatMatrix:
     """Gram matrix of the degree-k pairing (a, b) -> a*b*(D_cube)^{n-2k} V
-    over the unit-coefficient operators d^S, S running over k-subsets."""
+    over the unit-coefficient operators d^S, S running over k-subsets.
+
+    The entry for (d^U, d^S) is hr_form(d^U, d^S, [cube] * (n - 2k)), read
+    directly off q = (D_cube)^{n-2k} V, which is contracted once.
+    """
     if 2 * k > n:
         raise ValueError("need 2k <= n")
-    cube = unit_cube(n)
+    q = contract(volume_polynomial(n), [unit_cube(n)] * (n - 2 * k))
     subsets = list(combinations(range(n), k))
-    ops = [SlabOperator(n, k, {s: Fraction(1)}) for s in subsets]
-    c_bodies = [cube] * (n - 2 * k)
-    rows = []
-    for a in ops:
-        rows.append([hr_form(a, b, c_bodies) for b in ops])
-    return RatMatrix(rows)
+    return _union_coefficients(q, subsets, subsets)
 
 
 def op_to_json(a: SlabOperator) -> dict:

@@ -63,6 +63,16 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; ``int()`` would truncate 6.25 to 6.
+
+    A float, a string and a bool (a subclass of int) are rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__} {value!r}")
+    return value
+
+
 def rats_from_json(value, what: str) -> Vector:
     """A JSON array of rational strings, each parsed by ``rat_from_str``."""
     return tuple(rat_from_str(v) for v in json_list(value, what))

@@ -39,6 +39,7 @@ from .exactlin import (
     RatMatrix,
     det,
     dot,
+    json_int,
     json_list,
     principal_submatrix,
     rat_from_str,
@@ -51,7 +52,6 @@ from .hypmat import (
     Violation,
     _principal_minors,
     find_violation,
-    is_hyperbolic,
     sylvester_violation,
 )
 from .mixvol import (
@@ -274,7 +274,6 @@ def construct_counterexample_k2(
 ) -> Certificate:
     """Certified violation of the minor sign condition at k = 2, any n >= 4."""
     base = pipeline_base_k2(n)
-    _check(not is_hyperbolic(base.fedotov.matrix), "matrix is hyperbolic")
     violation = find_violation(
         base.fedotov.matrix, witness=(base.x, base.y), max_core_size=max_core_size
     )
@@ -573,8 +572,12 @@ def _label_to_json(label):
 
 def _label_from_json(data):
     if isinstance(data, list):
-        return (int(data[0]), tuple(int(b) for b in json_list(data[1], "label pattern")))
-    return int(data)
+        pattern = json_list(data[1], "label pattern")
+        return (
+            json_int(data[0], "label index"),
+            tuple(json_int(b, "label pattern bit") for b in pattern),
+        )
+    return json_int(data, "label")
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -605,14 +608,14 @@ def certificate_to_json(cert: Certificate) -> str:
 def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate; every array field must be a JSON list."""
     data = json.loads(text)
-    n = int(data["n"])
+    n = json_int(data["n"], "n")
 
     def boxes(key: str) -> tuple[BoxBody, ...]:
         return tuple(box_from_widths(n, ws) for ws in json_list(data[key], key))
 
     return Certificate(
         n=n,
-        k=int(data["k"]),
+        k=json_int(data["k"], "k"),
         labels=tuple(_label_from_json(l) for l in json_list(data["labels"], "labels")),
         bodies=boxes("bodies"),
         c_bodies=boxes("c_bodies"),
@@ -623,10 +626,12 @@ def certificate_from_json(text: str) -> Certificate:
         matrix=RatMatrix(
             rats_from_json(row, "matrix row") for row in json_list(data["matrix"], "matrix")
         ),
-        subset=tuple(int(i) for i in json_list(data["subset"], "subset")),
+        subset=tuple(
+            json_int(i, "subset entry") for i in json_list(data["subset"], "subset")
+        ),
         subset_det=rat_from_str(data["subset_det"]),
         trace=data["trace"],
-        version=int(data["version"]),
+        version=json_int(data["version"], "version"),
     )
 
 

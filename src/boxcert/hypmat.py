@@ -175,10 +175,13 @@ def greedy_core(m: RatMatrix) -> tuple[int, ...]:
     eigenspace. Batches are tried first (halving window sizes), then single
     indices, so the result is deterministic and no single further index can
     be removed.
+
+    Non-hyperbolicity of the input is checked once, after the loop, on the
+    core: a principal submatrix has no more positive eigenvalues than the
+    matrix (Cauchy interlacing), so a core with n_pos >= 2 proves it for the
+    input, and when no removal was accepted the core is the input itself.
     """
     _require_symmetric_positive(m)
-    if inertia(m).n_pos < 2:
-        raise ValueError("matrix is already hyperbolic; nothing to localize")
     live = list(range(m.rows))
     changed = True
     while changed:
@@ -194,6 +197,8 @@ def greedy_core(m: RatMatrix) -> tuple[int, ...]:
                 else:
                     start += 1
             window //= 2
+    if not _keeps_two_positive(m, live):
+        raise ValueError("matrix is already hyperbolic; nothing to localize")
     return tuple(live)
 
 
@@ -261,11 +266,18 @@ def find_violation(
     polished by greedy_core and enumerated exhaustively; the returned
     subset is expressed in the indices of ``m``. ``max_core_size`` tightens
     the enumeration bound below the module default.
+
+    The precondition n_pos(m) >= 2 is checked before the core search, so a
+    hyperbolic input raises ValueError without running it. With a witness,
+    the Gram-PD check in shrink_with_witness is the proof; without one, an
+    exact inertia of ``m`` is.
     """
     _require_symmetric_positive(m)
     if witness is not None:
         pre = shrink_with_witness(m, *witness)
     else:
+        if inertia(m).n_pos < 2:
+            raise ValueError("matrix is already hyperbolic; nothing to localize")
         pre = tuple(range(m.rows))
     sub = principal_submatrix(m, pre)
     core_local = greedy_core(sub)

@@ -128,6 +128,11 @@ def test_usage_error_on_bad_threads(capsys):
     assert main(["selftest", "--threads", "0"]) == 2
 
 
+def test_usage_error_on_negative_trials(capsys):
+    assert main(["shephard", "--n", "3", "--m", "2", "--trials", "-1"]) == 2
+    assert capsys.readouterr().err == "usage error: --trials must be nonnegative\n"
+
+
 @pytest.mark.slow
 def test_subprocess_entry_point():
     result = run_cli("hodge", "primitive", "--n", "4", "--k", "2", "--format", "json")
@@ -166,8 +171,15 @@ def _verify_data(tmp_path, data, *flags):
         ("version", [1]),
         ("subset", "0123"),
         ("bodies", ["1212", ["1", "2", "2", "1"]]),
+        ("subset", [6.25, 7.25, 8.25, 9.25]),
+        ("n", "4"),
+        ("k", True),
+        ("labels", [0.5] + list(range(1, 13))),
     ],
-    ids=["bodies-int", "matrix-null", "version-list", "subset-string", "bodies-row"],
+    ids=[
+        "bodies-int", "matrix-null", "version-list", "subset-string", "bodies-row",
+        "subset-float", "n-string", "k-bool", "label-float",
+    ],
 )
 def test_verify_malformed_field_exits_1(tmp_path, capsys, cert_n4_data, field, value):
     data = dict(cert_n4_data, **{field: value})
@@ -214,20 +226,37 @@ def test_mixvol_rejects_json_float(tmp_path, capsys):
     assert captured.out == "" and "float" in captured.err
 
 
+GOOD_BODY = {"widths": ["3", "1"]}
+
+
 @pytest.mark.parametrize(
-    "body",
+    "data",
     [
-        {"widths": "12"},
-        {"widths": ["1", "2"], "offset": [0.5, "0"]},
-        {"widths": ["1", "2"], "offset": ["0"]},
-        {"widths": ["1", "2"], "offset": ["0", "0", "0"]},
-        {"widths": ["1", "2"], "offset": "00"},
+        {"n": 2, "bodies": [body, GOOD_BODY]}
+        for body in (
+            {"widths": "12"},
+            {"widths": ["1", "2"], "offset": [0.5, "0"]},
+            {"widths": ["1", "2"], "offset": ["0"]},
+            {"widths": ["1", "2"], "offset": ["0", "0", "0"]},
+            {"widths": ["1", "2"], "offset": "00"},
+            {"widths": ["1", "2"], "multiplicity": 1.5},
+            {"width": ["1", "2"]},
+            ["1", "2"],
+        )
+    ]
+    + [
+        {"n": 2.0, "bodies": [GOOD_BODY, GOOD_BODY]},
+        {"bodies": [GOOD_BODY, GOOD_BODY]},
+        [GOOD_BODY, GOOD_BODY],
     ],
-    ids=["widths-string", "offset-float", "offset-short", "offset-long", "offset-string"],
+    ids=[
+        "widths-string", "offset-float", "offset-short", "offset-long", "offset-string",
+        "multiplicity-float", "no-widths", "body-list", "n-float", "no-n", "file-list",
+    ],
 )
-def test_mixvol_rejects_malformed_body(tmp_path, capsys, body):
+def test_mixvol_rejects_malformed_body(tmp_path, capsys, data):
     path = tmp_path / "tuple.json"
-    path.write_text(json.dumps({"n": 2, "bodies": [body, {"widths": ["3", "1"]}]}))
+    path.write_text(json.dumps(data))
     assert main(["mixvol", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error: ")
@@ -244,3 +273,26 @@ def test_input_offset_is_checked_then_ignored(tmp_path, capsys):
     assert main(["shephard", "--file", str(instance)]) == 0
     assert "all minor signs consistent" in capsys.readouterr().out
 
+
+
+def test_shephard_rejects_malformed_file(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": 2, "bodies": [["1", "2"]], "c_bodies": []}))
+    assert main(["shephard", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: ")
+
+
+def test_shephard_bound_checked_before_build(tmp_path, capsys, monkeypatch):
+    def no_build(*_):
+        raise AssertionError("build_matrix ran past the enumeration cap")
+
+    monkeypatch.setattr("boxcert.cli.build_matrix", no_build)
+    assert main(["shephard", "--n", "3", "--m", "23"]) == 2
+    path = tmp_path / "instance.json"
+    bodies = [{"widths": [str(i), "1", "2"]} for i in range(1, 24)]
+    c_bodies = [{"widths": ["1", "1", "1"]}]
+    path.write_text(json.dumps({"n": 3, "bodies": bodies, "c_bodies": c_bodies}))
+    assert main(["shephard", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("exceeds the exhaustive minor") == 2

@@ -27,7 +27,7 @@ from boxcert.diffop import (
     primitive_space_basis,
     volume_polynomial,
 )
-from boxcert.exactlin import rank
+from boxcert.exactlin import RatMatrix, rank
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import random_box
 
@@ -197,6 +197,16 @@ def test_pairing_rank_equals_h_entry():
     for n in (4, 5, 6):
         for k in range(1, n // 2 + 1):
             assert rank(pairing_matrix(n, k)) == comb(n, k)
+
+
+def test_pairing_matrix_is_hr_form_gram():
+    for n in range(2, 7):
+        cube_powers = [unit_cube(n)] * n
+        for k in range(n // 2 + 1):
+            ops = [SlabOperator(n, k, {s: 1}) for s in combinations(range(n), k)]
+            c_bodies = cube_powers[: n - 2 * k]
+            gram = [[hr_form(a, b, c_bodies) for b in ops] for a in ops]
+            assert pairing_matrix(n, k) == RatMatrix(gram)
 
 
 def test_hr_form_consistent_with_mixed_volume():

@@ -16,6 +16,10 @@ GOLDEN = {
         ["fedotov", "construct", "--n", "4", "--k", "2", "--format", "json"],
         "f4047e561eb80147349896ea3738fbfeed663fe3a4b9fb3da0f5116e19e99835",
     ),
+    "construct-6-3-json": (
+        ["fedotov", "construct", "--n", "6", "--k", "3", "--format", "json"],
+        "0576ff0b9a43e59b84587228e5171c55f42b37314482b193f538416c51064376",
+    ),
     "search-4-2-m4": (
         ["fedotov", "search", "--n", "4", "--k", "2", "--m", "4",
          "--trials", "100", "--seed", "7"],
@@ -28,6 +32,10 @@ GOLDEN = {
     "hodge-primitive-4-2": (
         ["hodge", "primitive", "--n", "4", "--k", "2"],
         "79c8cca078c8facae1478c1a6903e261549c36b07b669bec41c81374455acc58",
+    ),
+    "hodge-primitive-6-3-json": (
+        ["hodge", "primitive", "--n", "6", "--k", "3", "--format", "json"],
+        "2aa074289802ff9576504b36039464539735ed6bcb540f8e00527129f64157aa",
     ),
     "selftest": (
         ["selftest"],

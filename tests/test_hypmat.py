@@ -218,6 +218,20 @@ def test_greedy_core_rejects_hyperbolic():
         greedy_core(RatMatrix([[1, 2], [2, 1]]))
 
 
+def test_find_violation_without_witness_rejects_hyperbolic_up_front(monkeypatch):
+    rng = random.Random(12)
+    n = 4
+    bodies = [random_box(rng, n) for _ in range(12)]
+    m = build_matrix(bodies, 1, [random_box(rng, n) for _ in range(n - 2)]).matrix
+
+    def no_core_search(_):
+        raise AssertionError("greedy_core ran on a hyperbolic matrix")
+
+    monkeypatch.setattr("boxcert.hypmat.greedy_core", no_core_search)
+    with pytest.raises(ValueError):
+        find_violation(m)
+
+
 def test_shrink_with_witness_certifies_core():
     m = planted_block_matrix()
     # x spans the positive block directions, y picks a single one
