@@ -15,15 +15,19 @@ configuration.
 
 Exit status: 0 success, 1 verification failure, 2 usage error (bad flags, a
 malformed ``mixvol``/``shephard`` input file, or a bound exceeded before any
-work starts). Output for a fixed command line (including --seed) is
-byte-identical across runs and independent of --threads.
+work starts: n <= 12 for ``fedotov construct``/``search`` and ``hodge
+primitive``, m <= 22 for ``shephard``). Output for a fixed command line
+(including --seed) is byte-identical across runs and independent of
+--threads. ``--trials`` counts instances exactly (1 for ``shephard`` and
+100 for ``fedotov search`` by default; 0 runs none). ``--output PATH``
+writes the payload to PATH: the certificate for ``fedotov construct`` and
+``search`` (a summary still goes to stdout), the whole report otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from math import comb
 from typing import Optional
@@ -43,14 +47,14 @@ from .fedotov import (
     certificate_to_json,
     construct_counterexample,
     load_certificate,
-    random_box,
+    random_instance,
     random_search,
     shephard_verify,
     verify_certificate,
     build_matrix,
 )
-from .hypmat import SUBSET_ENUMERATION_CAP, CoreTooLargeError
-from .mixvol import BodyTuple, mixed_volume, mixed_volume_via_derivatives
+from .hypmat import SUBSET_ENUMERATION_CAP
+from .mixvol import MAX_DIMENSION, BodyTuple, mixed_volume, mixed_volume_via_derivatives
 from .selftest import run_all
 
 
@@ -63,6 +67,10 @@ def require_degree_bounds(args: argparse.Namespace) -> None:
         raise UsageError("--n and --k are required")
     if args.k < 1 or 2 * args.k > args.n:
         raise UsageError(f"need 1 <= k <= n/2, got n={args.n}, k={args.k}")
+    if args.n > MAX_DIMENSION:
+        raise UsageError(
+            f"n = {args.n} exceeds the supported envelope n <= {MAX_DIMENSION}"
+        )
 
 
 def _emit(payload: str, args: argparse.Namespace) -> None:
@@ -132,12 +140,12 @@ def cmd_shephard(args: argparse.Namespace) -> int:
     if args.file:
         data = _load_json(args.file)
         n = json_int(_field(data, "n", "input file"), "n")
-        instances = [
-            tuple(
-                [_box_from_entry(n, e) for e in json_list(_field(data, key, "input file"), key)]
-                for key in ("bodies", "c_bodies")
-            )
-        ]
+        bodies, c_bodies = (
+            [_box_from_entry(n, e) for e in json_list(_field(data, key, "input file"), key)]
+            for key in ("bodies", "c_bodies")
+        )
+        m = len(bodies)
+        instances = [(bodies, c_bodies)]
     else:
         if args.n is None or args.m is None:
             raise UsageError("--n and --m are required without --file")
@@ -145,16 +153,11 @@ def cmd_shephard(args: argparse.Namespace) -> int:
             raise UsageError("need n >= 2")
         if args.m < 1:
             raise UsageError("need m >= 1")
-        instances = []
-        for trial in range(args.trials or 1):
-            rng = random.Random(f"boxcert:{args.seed}:{trial}")
-            instances.append(
-                (
-                    [random_box(rng, args.n) for _ in range(args.m)],
-                    [random_box(rng, args.n) for _ in range(args.n - 2)],
-                )
-            )
-    m = len(instances[0][0])
+        m = args.m
+        # drawn lazily, after the bound check below
+        instances = (
+            random_instance(args.n, 1, m, args.seed, trial) for trial in range(args.trials)
+        )
     if m > SUBSET_ENUMERATION_CAP:
         raise UsageError(
             f"m = {m} exceeds the exhaustive minor enumeration cap {SUBSET_ENUMERATION_CAP}"
@@ -191,11 +194,7 @@ def cmd_fedotov_construct(args: argparse.Namespace) -> int:
     require_degree_bounds(args)
     if args.k < 2:
         raise UsageError("the k = 1 family is hyperbolic; need k >= 2")
-    try:
-        cert = construct_counterexample(args.n, args.k, max_core_size=args.max_core_size)
-    except CoreTooLargeError as exc:
-        _print(f"construction aborted: {exc}")
-        return 1
+    cert = construct_counterexample(args.n, args.k)
     report = verify_certificate(cert)
     payload = certificate_to_json(cert)
     if args.format == "json" and not args.output:
@@ -217,8 +216,7 @@ def cmd_fedotov_search(args: argparse.Namespace) -> int:
     require_degree_bounds(args)
     if args.m is None or args.m < 1:
         raise UsageError("--m is required and must be >= 1")
-    trials = args.trials if args.trials is not None else 100
-    cert, stats = random_search(args.n, args.k, args.m, trials, args.seed)
+    cert, stats = random_search(args.n, args.k, args.m, args.trials, args.seed)
     ok = True
     if cert is not None:
         ok = bool(verify_certificate(cert))
@@ -250,28 +248,22 @@ def cmd_fedotov_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc}") from exc
     except (KeyError, IndexError, TypeError, OverflowError, ValueError) as exc:
-        if args.format == "json":
-            sys.stdout.write(
-                json.dumps({"ok": False, "reason": f"malformed certificate: {exc}"}, indent=2)
-                + "\n"
-            )
-        else:
-            _print(f"certificate INVALID: malformed: {exc}")
-        return 1
-    report = verify_certificate(cert)
-    if args.format == "json":
-        sys.stdout.write(
-            json.dumps({"ok": report.ok, "reason": report.reason}, indent=2) + "\n"
-        )
+        ok, reason = False, f"malformed certificate: {exc}"
+        line = f"certificate INVALID: malformed: {exc}"
     else:
-        if report.ok:
-            _print(
-                f"certificate OK: n={cert.n} k={cert.k} m={len(cert.bodies)} "
-                f"subset={list(cert.subset)} det={rat_to_str(cert.subset_det)}"
-            )
-        else:
-            _print(f"certificate INVALID: {report.reason}")
-    return 0 if report.ok else 1
+        report = verify_certificate(cert)
+        ok, reason = report.ok, report.reason
+        line = (
+            f"certificate OK: n={cert.n} k={cert.k} m={len(cert.bodies)} "
+            f"subset={list(cert.subset)} det={rat_to_str(cert.subset_det)}"
+            if ok
+            else f"certificate INVALID: {reason}"
+        )
+    if args.format == "json":
+        _emit(json.dumps({"ok": ok, "reason": reason}, indent=2) + "\n", args)
+    else:
+        _emit(line + "\n", args)
+    return 0 if ok else 1
 
 
 def cmd_hodge_primitive(args: argparse.Namespace) -> int:
@@ -325,7 +317,7 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    results = run_all(seed=args.seed, scale=args.scale)
+    results = run_all(seed=args.seed)
     all_ok = all(ok for _, ok, _ in results)
     if args.format == "json":
         payload = {
@@ -353,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, handler, *, n=False, k=False, m=False, trials=False, seed=False):
+    def add_common(p, handler, *, n=False, k=False, m=False, trials=None, seed=False):
         p.set_defaults(handler=handler)
         if n:
             p.add_argument("--n", type=int, help="ambient dimension")
@@ -361,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, help="repetition degree")
         if m:
             p.add_argument("--m", type=int, help="number of bodies")
-        if trials:
-            p.add_argument("--trials", type=int, help="number of instances")
+        if trials is not None:
+            p.add_argument(
+                "--trials", type=int, default=trials, help="number of instances (0 runs none)"
+            )
         if seed:
             p.add_argument("--seed", type=int, default=0, help="deterministic seed")
         p.add_argument(
@@ -382,19 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_she = sub.add_parser("shephard", help="build and check a k=1 matrix")
     p_she.add_argument("--file", help="explicit instance file")
-    add_common(p_she, cmd_shephard, n=True, m=True, trials=True, seed=True)
+    add_common(p_she, cmd_shephard, n=True, m=True, trials=1, seed=True)
 
     p_fed = sub.add_parser("fedotov", help="counterexample pipeline")
     fed_sub = p_fed.add_subparsers(dest="subcommand", required=True)
 
     p_con = fed_sub.add_parser("construct", help="build a certified violation")
     add_common(p_con, cmd_fedotov_construct, n=True, k=True)
-    p_con.add_argument(
-        "--max-core-size", type=int, help="fail if the violating subset is larger"
-    )
 
     p_sea = fed_sub.add_parser("search", help="randomized direct search")
-    add_common(p_sea, cmd_fedotov_search, n=True, k=True, m=True, trials=True, seed=True)
+    add_common(p_sea, cmd_fedotov_search, n=True, k=True, m=True, trials=100, seed=True)
 
     p_ver = fed_sub.add_parser("verify", help="re-verify a certificate file")
     p_ver.add_argument("file", help="certificate path")
@@ -406,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_pri, cmd_hodge_primitive, n=True, k=True)
 
     p_self = sub.add_parser("selftest", help="run every property suite")
-    p_self.add_argument("--scale", type=int, default=1, help="instance count multiplier")
     add_common(p_self, cmd_selftest, seed=True)
 
     return parser
@@ -417,7 +407,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.threads < 1:
             raise UsageError("--threads must be at least 1")
-        if getattr(args, "trials", None) is not None and args.trials < 0:
+        if getattr(args, "trials", 0) < 0:
             raise UsageError("--trials must be nonnegative")
         return args.handler(args)
     except (UsageError, ValueError) as exc:

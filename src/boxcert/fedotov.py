@@ -48,7 +48,6 @@ from .exactlin import (
 )
 from .hypmat import (
     SUBSET_ENUMERATION_CAP,
-    CoreTooLargeError,
     Violation,
     _principal_minors,
     find_violation,
@@ -66,11 +65,22 @@ CERTIFICATE_VERSION = 1
 DEFAULT_SEARCH_GRID = tuple(Fraction(j, 4) for j in range(1, 17))
 
 
-def random_box(
-    rng: random.Random, n: int, grid: Sequence[Rat] = DEFAULT_SEARCH_GRID
-) -> BoxBody:
-    """A box in R^n whose widths are drawn from ``grid`` in order."""
-    return BoxBody(n, tuple(rng.choice(grid) for _ in range(n)))
+def random_box(rng: random.Random, n: int) -> BoxBody:
+    """A box in R^n whose widths are drawn from DEFAULT_SEARCH_GRID in order."""
+    return BoxBody(n, tuple(rng.choice(DEFAULT_SEARCH_GRID) for _ in range(n)))
+
+
+def random_instance(
+    n: int, k: int, m: int, seed: int, trial: int
+) -> tuple[list[BoxBody], list[BoxBody]]:
+    """Seeded (bodies, c_bodies): m bodies, then n - 2k auxiliary bodies.
+
+    Each (seed, trial) has its own generator, so an instance does not depend
+    on how many others were drawn before it.
+    """
+    rng = random.Random(f"boxcert:{seed}:{trial}")
+    bodies = [random_box(rng, n) for _ in range(m)]
+    return bodies, [random_box(rng, n) for _ in range(n - 2 * k)]
 
 
 @dataclass(frozen=True)
@@ -269,14 +279,10 @@ def pipeline_base_k2(n: int) -> PipelineData:
     )
 
 
-def construct_counterexample_k2(
-    n: int, max_core_size: Optional[int] = None
-) -> Certificate:
+def construct_counterexample_k2(n: int) -> Certificate:
     """Certified violation of the minor sign condition at k = 2, any n >= 4."""
     base = pipeline_base_k2(n)
-    violation = find_violation(
-        base.fedotov.matrix, witness=(base.x, base.y), max_core_size=max_core_size
-    )
+    violation = find_violation(base.fedotov.matrix, witness=(base.x, base.y))
     trace = {
         "mode": "pipeline-k2",
         "alpha": op_to_json(base.alpha),
@@ -304,11 +310,7 @@ def _deltas(k: int) -> list[tuple[int, ...]]:
     return list(product((0, 1), repeat=k))[1:]
 
 
-def reduce_to_general_k(
-    base: PipelineData,
-    k: int,
-    max_core_size: Optional[int] = None,
-) -> Certificate:
+def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     """Lift the k = 2 violation to degree k via double polarization.
 
     Each base body K_i spawns the bodies (d_1 + d_2) K_i + (d_3 + ... +
@@ -356,9 +358,7 @@ def reduce_to_general_k(
         f"lifted quadratic form {pair_xx} differs from base {base.pair_xx}",
     )
     _check(pair_xx > 0, "lifted quadratic form is not strictly positive")
-    violation = find_violation(
-        fm.matrix, witness=(tuple(x_t), tuple(y_t)), max_core_size=max_core_size
-    )
+    violation = find_violation(fm.matrix, witness=(tuple(x_t), tuple(y_t)))
     trace = {
         "mode": "reduction",
         "base_k": 2,
@@ -383,18 +383,15 @@ def reduce_to_general_k(
     )
 
 
-def construct_counterexample(
-    n: int, k: int, max_core_size: Optional[int] = None
-) -> Certificate:
+def construct_counterexample(n: int, k: int) -> Certificate:
     """k = 2 directly; k > 2 through the reduction from the k = 2 base."""
     if k < 2:
         raise ValueError("the sign condition holds at k = 1; need k >= 2")
     if 2 * k > n:
         raise ValueError(f"need 2k <= n, got k={k}, n={n}")
     if k == 2:
-        return construct_counterexample_k2(n, max_core_size=max_core_size)
-    base = pipeline_base_k2(n)
-    return reduce_to_general_k(base, k, max_core_size=max_core_size)
+        return construct_counterexample_k2(n)
+    return reduce_to_general_k(pipeline_base_k2(n), k)
 
 
 def double_polarization_check(base: PipelineData, cert: Certificate) -> bool:
@@ -431,18 +428,12 @@ class SearchStats:
 
 
 def random_search(
-    n: int,
-    k: int,
-    m: int,
-    trials: int,
-    seed: int,
-    grid: Optional[Sequence[Rat]] = None,
+    n: int, k: int, m: int, trials: int, seed: int
 ) -> tuple[Optional[Certificate], SearchStats]:
     """Randomized hunt for a direct minor-sign violation.
 
-    Widths are drawn from a fixed rational grid; the outcome is a pure
-    function of (seed, trials): each trial re-seeds its own generator, so
-    early stopping elsewhere cannot change it.
+    Trial t checks random_instance(n, k, m, seed, t), so the outcome is a
+    pure function of (seed, trials).
     Returns the first violation as a certificate with empty x, y (marked
     "direct"), or None.
     """
@@ -452,11 +443,8 @@ def random_search(
         raise ValueError("need at least one body")
     if m > SUBSET_ENUMERATION_CAP:
         raise ValueError("m too large for exhaustive minor enumeration")
-    grid = tuple(grid) if grid is not None else DEFAULT_SEARCH_GRID
     for trial in range(trials):
-        rng = random.Random(f"boxcert:{seed}:{trial}")
-        bodies = [random_box(rng, n, grid) for _ in range(m)]
-        c_bodies = [random_box(rng, n, grid) for _ in range(n - 2 * k)]
+        bodies, c_bodies = random_instance(n, k, m, seed, trial)
         fm = build_matrix(bodies, k, c_bodies)
         violation = sylvester_violation(fm.matrix)
         if violation is not None:
@@ -477,7 +465,7 @@ def random_search(
                     "mode": "direct",
                     "seed": seed,
                     "trial": trial,
-                    "grid": [rat_to_str(g) for g in grid],
+                    "grid": [rat_to_str(g) for g in DEFAULT_SEARCH_GRID],
                 },
             )
             return cert, SearchStats(trial + 1, True, trial)

@@ -36,10 +36,6 @@ from .exactlin import (
 SUBSET_ENUMERATION_CAP = 22
 
 
-class CoreTooLargeError(RuntimeError):
-    """A shrunk core still exceeds the caller's enumeration bound."""
-
-
 @dataclass(frozen=True)
 class Violation:
     """A principal subset witnessing failure of the minor sign condition.
@@ -258,14 +254,14 @@ def shrink_with_witness(
 def find_violation(
     m: RatMatrix,
     witness: Optional[tuple[Sequence[Rat], Sequence[Rat]]] = None,
-    max_core_size: Optional[int] = None,
 ) -> Violation:
     """Locate a principal-minor sign violation in a non-hyperbolic matrix.
 
     With a witness pair the matrix is first shrunk at quadratic cost, then
     polished by greedy_core and enumerated exhaustively; the returned
-    subset is expressed in the indices of ``m``. ``max_core_size`` tightens
-    the enumeration bound below the module default.
+    subset is expressed in the indices of ``m``. The one bound on the
+    enumeration is SUBSET_ENUMERATION_CAP, which sylvester_violation
+    enforces on the core.
 
     The precondition n_pos(m) >= 2 is checked before the core search, so a
     hyperbolic input raises ValueError without running it. With a witness,
@@ -282,10 +278,6 @@ def find_violation(
     sub = principal_submatrix(m, pre)
     core_local = greedy_core(sub)
     core = tuple(pre[i] for i in core_local)
-    if max_core_size is not None and len(core) > max_core_size:
-        raise CoreTooLargeError(
-            f"core of size {len(core)} exceeds the requested bound {max_core_size}"
-        )
     violation = sylvester_violation(principal_submatrix(m, core))
     if violation is None:  # unreachable: the core keeps n_pos >= 2
         raise AssertionError("non-hyperbolic core produced no violation")

@@ -1,9 +1,10 @@
 """Seeded property suites aggregating every module's exact invariants.
 
 Each suite draws its instances from an explicit random generator and
-returns (ok, detail); the CLI `selftest` command runs them all at reduced
-counts, the acceptance tests at the full counts. A failure anywhere is an
-exact violation, never a tolerance issue.
+returns (ok, detail); the CLI `selftest` command runs them all through
+run_all, at fixed counts and with generators seeded from --seed. The
+acceptance tests draw their own, larger instance sets. A failure anywhere
+is an exact violation, never a tolerance issue.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Sequence
 
 from .boxes import minkowski_combine, unit_cube, volume
 from .diffop import (
@@ -53,11 +53,11 @@ from .mixvol import (
 GRID = DEFAULT_SEARCH_GRID
 
 
-def random_symmetric_positive(rng: random.Random, dim: int, grid: Sequence = GRID) -> RatMatrix:
+def random_symmetric_positive(rng: random.Random, dim: int) -> RatMatrix:
     rows = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            rows[i][j] = rows[j][i] = rng.choice(grid)
+            rows[i][j] = rows[j][i] = rng.choice(GRID)
     return RatMatrix(rows)
 
 
@@ -167,10 +167,10 @@ def suite_mixvol_paths(rng: random.Random, count: int) -> tuple[bool, str]:
     return True, f"{count} instances"
 
 
-def suite_af(rng: random.Random, per_dim: int, dims=range(2, 7)) -> tuple[bool, str]:
+def suite_af(rng: random.Random, per_dim: int) -> tuple[bool, str]:
     """The quadratic mixed-volume inequality on random boxes, exactly."""
     total = 0
-    for n in dims:
+    for n in range(2, 7):
         for trial in range(per_dim):
             k_body = random_box(rng, n)
             l_body = random_box(rng, n)
@@ -194,7 +194,7 @@ def suite_polarization(rng: random.Random, count: int) -> tuple[bool, str]:
     return True, f"{count} instances"
 
 
-def suite_hypmat(rng: random.Random, count: int, pairs_per_matrix: int = 20) -> tuple[bool, str]:
+def suite_hypmat(rng: random.Random, count: int) -> tuple[bool, str]:
     """Inertia condition == minor condition; witnesses are exact."""
     hyperbolic_seen = 0
     for trial in range(count):
@@ -210,7 +210,7 @@ def suite_hypmat(rng: random.Random, count: int, pairs_per_matrix: int = 20) -> 
                 return False, f"violation does not re-verify at trial {trial}"
         else:
             hyperbolic_seen += 1
-            for _ in range(pairs_per_matrix):
+            for _ in range(20):
                 x = random_nonneg_vector(rng, dim)
                 y = random_nonneg_vector(rng, dim)
                 if not af_form_check(m, x, y):
@@ -240,8 +240,9 @@ def suite_equality_witness(rng: random.Random, count: int) -> tuple[bool, str]:
     return True, f"{count} instances"
 
 
-def suite_diffop(rng: random.Random, hr_count: int, dims=(4, 5)) -> tuple[bool, str]:
+def suite_diffop(rng: random.Random, hr_count: int) -> tuple[bool, str]:
     """Dimension/rank counts, quadratic-form sign, power-expression roundtrip."""
+    dims = (4, 5)
     for n in dims:
         cube = unit_cube(n)
         for k in range(1, n // 2 + 1):
@@ -271,7 +272,7 @@ def suite_diffop(rng: random.Random, hr_count: int, dims=(4, 5)) -> tuple[bool, 
         alpha = SlabOperator(n, k, terms)
         if express_as_powers(alpha).to_operator(n) != alpha:
             return False, f"power roundtrip failed at trial {trial}"
-    return True, f"dims {tuple(dims)}, {hr_count} draws each"
+    return True, f"dims {dims}, {hr_count} draws each"
 
 
 def suite_hr_mixed_volume_consistency(rng: random.Random, count: int) -> tuple[bool, str]:
@@ -338,26 +339,26 @@ def suite_pipeline(rng: random.Random) -> tuple[bool, str]:
     return True, "n=4 construction and passthrough verified"
 
 
-def run_all(seed: int = 0, scale: int = 1) -> list[tuple[str, bool, str]]:
-    """Every suite at counts proportional to ``scale``; deterministic in seed."""
+def run_all(seed: int = 0) -> list[tuple[str, bool, str]]:
+    """Every suite at its fixed count; deterministic in seed."""
     results = []
 
-    def run(name, fn, *args):
+    def run(name, fn, count):
         rng = random.Random(f"selftest:{seed}:{name}")
-        ok, detail = fn(rng, *args)
+        ok, detail = fn(rng, count)
         results.append((name, ok, detail))
 
-    run("exactlin", suite_exactlin, 20 * scale)
-    run("boxes", suite_boxes, 20 * scale)
-    run("mixvol-core", suite_mixvol_core, 15 * scale)
-    run("mixvol-paths", suite_mixvol_paths, 25 * scale)
-    run("alexandrov-fenchel", suite_af, 10 * scale)
-    run("polarization", suite_polarization, 10 * scale)
-    run("hyperbolicity", suite_hypmat, 25 * scale)
-    run("equality-witness", suite_equality_witness, 10 * scale)
-    run("operators", suite_diffop, 5 * scale)
-    run("operator-volume-consistency", suite_hr_mixed_volume_consistency, 10 * scale)
-    run("two-body-determinants", suite_fedeasy_m2, 15 * scale)
-    run("minor-signs", suite_shephard, 10 * scale)
+    run("exactlin", suite_exactlin, 20)
+    run("boxes", suite_boxes, 20)
+    run("mixvol-core", suite_mixvol_core, 15)
+    run("mixvol-paths", suite_mixvol_paths, 25)
+    run("alexandrov-fenchel", suite_af, 10)
+    run("polarization", suite_polarization, 10)
+    run("hyperbolicity", suite_hypmat, 25)
+    run("equality-witness", suite_equality_witness, 10)
+    run("operators", suite_diffop, 5)
+    run("operator-volume-consistency", suite_hr_mixed_volume_consistency, 10)
+    run("two-body-determinants", suite_fedeasy_m2, 15)
+    run("minor-signs", suite_shephard, 10)
     results.append(("pipeline", *suite_pipeline(random.Random(seed))))
     return results

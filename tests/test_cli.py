@@ -141,15 +141,65 @@ def test_subprocess_entry_point():
     assert data["dimension"] == 2 and data["pairing_rank"] == 6
 
 
-def test_max_core_size_bound(capsys):
-    # the n=4 pipeline core has size 4; a bound of 2 must abort with exit 1
-    assert main(
-        ["fedotov", "construct", "--n", "4", "--k", "2", "--max-core-size", "2"]
-    ) == 1
-    assert "construction aborted" in capsys.readouterr().out
-    assert main(
-        ["fedotov", "construct", "--n", "4", "--k", "2", "--max-core-size", "10"]
-    ) == 0
+def test_max_core_size_flag_removed(capsys):
+    # SUBSET_ENUMERATION_CAP is the one bound on the core, so no flag sets one
+    with pytest.raises(SystemExit) as exc:
+        main(["fedotov", "construct", "--n", "4", "--k", "2", "--max-core-size", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-core-size" in capsys.readouterr().err
+    assert main(["fedotov", "construct", "--n", "4", "--k", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        pytest.param("text", "all minor signs consistent\n", id="text"),
+        pytest.param("json", '{\n  "ok": true,\n  "instances": []\n}\n', id="json"),
+    ],
+)
+def test_shephard_zero_trials_runs_none(fmt, expected, capsys, monkeypatch):
+    def no_build(*_):
+        raise AssertionError("an instance was built for --trials 0")
+
+    monkeypatch.setattr("boxcert.cli.build_matrix", no_build)
+    argv = ["shephard", "--n", "3", "--m", "2", "--trials", "0", "--format", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_output_writes_report(tmp_path, fmt, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(certificate_to_json(construct_counterexample_k2(4)))
+    assert main(["fedotov", "verify", str(cert), "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    report = tmp_path / "report.txt"
+    argv = ["fedotov", "verify", str(cert), "--format", fmt, "--output", str(report)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert report.read_bytes() == printed.encode("utf-8")
+
+
+def test_dimension_bound_checked_before_work(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("work started past the dimension bound")
+
+    for target in (
+        "boxcert.cli.primitive_space_basis",
+        "boxcert.fedotov.primitive_space_basis",
+        "boxcert.fedotov.pipeline_base_k2",
+        "boxcert.fedotov.build_matrix",
+    ):
+        monkeypatch.setattr(target, refuse)
+    for argv in (
+        ["fedotov", "construct", "--n", "16", "--k", "2"],
+        ["fedotov", "search", "--n", "13", "--k", "2", "--m", "3"],
+        ["hodge", "primitive", "--n", "16", "--k", "8"],
+    ):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("exceeds the supported envelope n <= 12") == 3
 
 
 @pytest.fixture(scope="module")

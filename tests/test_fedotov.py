@@ -16,6 +16,7 @@ from boxcert.fedotov import (
     double_polarization_check,
     load_certificate,
     pipeline_base_k2,
+    random_instance,
     random_search,
     reduce_to_general_k,
     save_certificate,
@@ -212,6 +213,18 @@ def test_random_search_k2_finds_and_verifies():
     assert cert.x == () and cert.y == ()
     assert cert.trace["mode"] == "direct"
     assert verify_certificate(cert).ok
+    bodies, c_bodies = random_instance(4, 2, 4, 3, cert.trace["trial"])
+    assert cert.bodies == tuple(bodies) and cert.c_bodies == tuple(c_bodies)
+
+
+def test_random_instance_draws_bodies_then_auxiliaries():
+    bodies, c_bodies = random_instance(6, 2, 5, seed=4, trial=1)
+    assert len(bodies) == 5 and len(c_bodies) == 2
+    rng = random.Random("boxcert:4:1")
+    drawn = [random_box(rng, 6) for _ in range(7)]
+    assert bodies + c_bodies == drawn
+    assert random_instance(6, 2, 5, seed=4, trial=1) == (bodies, c_bodies)
+    assert random_instance(6, 2, 5, seed=4, trial=2) != (bodies, c_bodies)
 
 
 def test_certificate_roundtrip_bit_exact(tmp_path):

@@ -20,6 +20,11 @@ GOLDEN = {
         ["fedotov", "construct", "--n", "6", "--k", "3", "--format", "json"],
         "0576ff0b9a43e59b84587228e5171c55f42b37314482b193f538416c51064376",
     ),
+    "search-4-2-m4-json": (
+        ["fedotov", "search", "--n", "4", "--k", "2", "--m", "4",
+         "--trials", "100", "--seed", "7", "--format", "json"],
+        "245355f7c7642fba1685d39832a39fa59d210078843786bc98af47efb5cb81d7",
+    ),
     "search-4-2-m4": (
         ["fedotov", "search", "--n", "4", "--k", "2", "--m", "4",
          "--trials", "100", "--seed", "7"],
@@ -28,6 +33,11 @@ GOLDEN = {
     "shephard-5-5": (
         ["shephard", "--n", "5", "--m", "5", "--seed", "1", "--trials", "3"],
         "3af477df9ec9b050f39af1bc5ccffffd32cbbf343ea65c22391af726a7a4ccd1",
+    ),
+    "shephard-5-5-json": (
+        ["shephard", "--n", "5", "--m", "5", "--seed", "1", "--trials", "3",
+         "--format", "json"],
+        "54ce7f296dd417126d0bef931bbaf92b3560c5c5aa0a3894525ffbbb08906e0c",
     ),
     "hodge-primitive-4-2": (
         ["hodge", "primitive", "--n", "4", "--k", "2"],
@@ -40,6 +50,10 @@ GOLDEN = {
     "selftest": (
         ["selftest"],
         "0bf2abae02732f4268ff519215290171a1f5c7b759155daa40efdb1658452963",
+    ),
+    "selftest-json": (
+        ["selftest", "--format", "json"],
+        "19efc2a4543975df2bf475a05312b8b414049771d9ce2133bf106b0ad444bca6",
     ),
 }
 
