@@ -15,13 +15,14 @@ configuration.
 
 Exit status: 0 success, 1 verification failure, 2 usage error (bad flags, a
 malformed ``mixvol``/``shephard`` input file, or a bound exceeded before any
-work starts: n <= 12 for ``fedotov construct``/``search`` and ``hodge
-primitive``, m <= 22 for ``shephard``). Output for a fixed command line
-(including --seed) is byte-identical across runs and independent of
---threads. ``--trials`` counts instances exactly (1 for ``shephard`` and
-100 for ``fedotov search`` by default; 0 runs none). ``--output PATH``
-writes the payload to PATH: the certificate for ``fedotov construct`` and
-``search`` (a summary still goes to stdout), the whole report otherwise.
+work starts: n <= 12 for ``fedotov construct``/``search``, ``hodge
+primitive`` and ``shephard``, m <= 22 for ``shephard``). Output for a fixed
+command line (including --seed) is byte-identical across runs and
+independent of --threads. ``--trials`` counts instances exactly (1 for
+``shephard`` and 100 for ``fedotov search`` by default; 0 runs none).
+``--output PATH`` writes the payload to PATH: the certificate for ``fedotov
+construct`` and ``search`` (a summary still goes to stdout), the whole
+report otherwise.
 """
 
 from __future__ import annotations
@@ -62,15 +63,17 @@ class UsageError(Exception):
     """Bad flags or parameter bounds; maps to exit status 2."""
 
 
+def require_dimension(n: int) -> None:
+    if n > MAX_DIMENSION:
+        raise UsageError(f"n = {n} exceeds the supported envelope n <= {MAX_DIMENSION}")
+
+
 def require_degree_bounds(args: argparse.Namespace) -> None:
     if args.n is None or args.k is None:
         raise UsageError("--n and --k are required")
     if args.k < 1 or 2 * args.k > args.n:
         raise UsageError(f"need 1 <= k <= n/2, got n={args.n}, k={args.k}")
-    if args.n > MAX_DIMENSION:
-        raise UsageError(
-            f"n = {args.n} exceeds the supported envelope n <= {MAX_DIMENSION}"
-        )
+    require_dimension(args.n)
 
 
 def _emit(payload: str, args: argparse.Namespace) -> None:
@@ -140,6 +143,7 @@ def cmd_shephard(args: argparse.Namespace) -> int:
     if args.file:
         data = _load_json(args.file)
         n = json_int(_field(data, "n", "input file"), "n")
+        require_dimension(n)
         bodies, c_bodies = (
             [_box_from_entry(n, e) for e in json_list(_field(data, key, "input file"), key)]
             for key in ("bodies", "c_bodies")
@@ -151,6 +155,7 @@ def cmd_shephard(args: argparse.Namespace) -> int:
             raise UsageError("--n and --m are required without --file")
         if args.n < 2:
             raise UsageError("need n >= 2")
+        require_dimension(args.n)
         if args.m < 1:
             raise UsageError("need m >= 1")
         m = args.m

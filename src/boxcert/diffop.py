@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from .boxes import BoxBody, unit_cube
-from .exactlin import Rat, RatMatrix, nullspace_basis, rat, rat_from_str, rat_to_str
+from .exactlin import Rat, RatMatrix, nullspace_basis, rat, rat_to_str
 
 Subset = tuple[int, ...]
 
@@ -404,11 +404,3 @@ def op_to_json(a: SlabOperator) -> dict:
             {"S": list(s), "c": rat_to_str(c)} for s, c in sorted(a.terms.items())
         ],
     }
-
-
-def op_from_json(data: dict) -> SlabOperator:
-    return SlabOperator(
-        int(data["n"]),
-        int(data["k"]),
-        {tuple(t["S"]): rat_from_str(t["c"]) for t in data["terms"]},
-    )

@@ -47,13 +47,16 @@ def rat_from_str(text: str) -> Rat:
     """Parse an exact rational from a string; any other type is rejected.
 
     Input files hold rationals as strings, so a JSON number (a binary float
-    in particular) never becomes a Fraction.
+    in particular) never becomes a Fraction; "1/0" is a ValueError too.
     """
     if not isinstance(text, str):
         raise ValueError(
             f"expected a rational string such as \"p/q\", got {type(text).__name__} {text!r}"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def json_list(value, what: str) -> list:
@@ -91,10 +94,6 @@ class Inertia:
     n_pos: int
     n_neg: int
     n_zero: int
-
-    @property
-    def dim(self) -> int:
-        return self.n_pos + self.n_neg + self.n_zero
 
 
 class RatMatrix:
@@ -320,20 +319,6 @@ def nullspace_basis(m: RatMatrix) -> list[Vector]:
             z[pc] = -reduced[r, fc]
         basis.append(tuple(z))
     return basis
-
-
-def solve(m: RatMatrix, b: Sequence[Rat]) -> Vector:
-    """Solve Mz = b exactly; raises if the system is inconsistent."""
-    if m.rows != len(b):
-        raise ValueError("dimension mismatch")
-    aug = RatMatrix([list(row) + [bi] for row, bi in zip(m.entries, b)])
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
-        raise ValueError("inconsistent linear system")
-    z = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        z[pc] = reduced[r, m.cols]
-    return tuple(z)
 
 
 def principal_submatrix(m: RatMatrix, subset: Iterable[int]) -> RatMatrix:

@@ -20,9 +20,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .boxes import BoxBody, box_from_widths, minkowski_combine, unit_cube
 from .diffop import (
@@ -38,7 +39,6 @@ from .exactlin import (
     Rat,
     RatMatrix,
     det,
-    dot,
     json_int,
     json_list,
     principal_submatrix,
@@ -50,8 +50,10 @@ from .hypmat import (
     SUBSET_ENUMERATION_CAP,
     Violation,
     _principal_minors,
+    class_matrix,
     find_violation,
     sylvester_violation,
+    witness_pairings,
 )
 from .mixvol import (
     MAX_DIMENSION,
@@ -85,36 +87,43 @@ def random_instance(
 
 @dataclass(frozen=True)
 class FedotovMatrix:
-    """The symmetric matrix of k-fold mixed volumes over a body list."""
+    """The k-fold mixed-volume matrix M_ij = table[classes[i]][classes[j]]."""
 
     n: int
     k: int
     bodies: tuple[BoxBody, ...]
     c_bodies: tuple[BoxBody, ...]
-    matrix: RatMatrix
+    classes: tuple[int, ...]
+    table: RatMatrix
 
     @property
     def m(self) -> int:
         return len(self.bodies)
 
+    @cached_property
+    def matrix(self) -> RatMatrix:
+        """The m x m matrix itself, for a v1 certificate or minor enumeration."""
+        return class_matrix(self.table, self.classes)
 
-def width_classes(
-    bodies: Sequence[BoxBody],
-) -> tuple[list[BoxBody], list[int]]:
+
+def width_classes(bodies: Sequence[BoxBody]) -> tuple[list[BoxBody], list[int]]:
     """Group bodies by widths: (first body of each class, class of each body).
 
     Mixed volumes see only widths, so M_ij depends on the unordered pair of
     the classes of bodies i and j alone.
     """
     index: dict[tuple[Rat, ...], int] = {}
-    reps: list[BoxBody] = []
-    classes = []
-    for body in bodies:
-        c = index.setdefault(body.widths, len(reps))
-        if c == len(reps):
-            reps.append(body)
-        classes.append(c)
-    return reps, classes
+    classes = [index.setdefault(body.widths, len(index)) for body in bodies]
+    return [bodies[classes.index(c)] for c in range(len(index))], classes
+
+
+def _symmetric_table(size: int, entry: Callable[[int, int], Rat]) -> RatMatrix:
+    """The size x size symmetric matrix of entry(a, b), one call per a <= b."""
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            rows[a][b] = rows[b][a] = entry(a, b)
+    return RatMatrix(rows)
 
 
 def build_matrix(
@@ -138,13 +147,11 @@ def build_matrix(
         )
     reps, classes = width_classes(bodies)
     tail = tuple((c, 1) for c in c_bodies)
-    table = [[Fraction(0)] * len(reps) for _ in reps]
-    for a, body_a in enumerate(reps):
-        for b in range(a, len(reps)):
-            v = mixed_volume(BodyTuple(n, ((body_a, k), (reps[b], k)) + tail))
-            table[a][b] = table[b][a] = v
-    grid = [[table[a][b] for b in classes] for a in classes]
-    return FedotovMatrix(n, k, bodies, c_bodies, RatMatrix(grid))
+    table = _symmetric_table(
+        len(reps),
+        lambda a, b: mixed_volume(BodyTuple(n, ((reps[a], k), (reps[b], k)) + tail)),
+    )
+    return FedotovMatrix(n, k, bodies, c_bodies, tuple(classes), table)
 
 
 @dataclass(frozen=True)
@@ -264,9 +271,7 @@ def pipeline_base_k2(n: int) -> PipelineData:
     x = tuple(c for c, _ in powers.terms) + (Fraction(0),)
     y = tuple(Fraction(0) for _ in powers.terms) + (Fraction(1),)
     fm = build_matrix(bodies, 2, c_bodies)
-    mx = fm.matrix.matvec(x)
-    pair_xy = dot(y, mx)
-    pair_xx = dot(x, mx)
+    pair_xy, pair_xx = witness_pairings(fm.table, fm.classes, x, y)
     _check(pair_xy == 0, f"primitivity pairing is {pair_xy}, expected 0")
     expected = hr_form(alpha, alpha, c_bodies) / factorial(n)
     _check(
@@ -282,7 +287,8 @@ def pipeline_base_k2(n: int) -> PipelineData:
 def construct_counterexample_k2(n: int) -> Certificate:
     """Certified violation of the minor sign condition at k = 2, any n >= 4."""
     base = pipeline_base_k2(n)
-    violation = find_violation(base.fedotov.matrix, witness=(base.x, base.y))
+    fm = base.fedotov
+    violation = find_violation(fm.table, fm.classes, witness=(base.x, base.y))
     trace = {
         "mode": "pipeline-k2",
         "alpha": op_to_json(base.alpha),
@@ -298,7 +304,7 @@ def construct_counterexample_k2(n: int) -> Certificate:
         y=base.y,
         pair_xy=base.pair_xy,
         pair_xx=base.pair_xx,
-        matrix=base.fedotov.matrix,
+        matrix=fm.matrix,
         subset=violation.subset,
         subset_det=violation.det_value,
         trace=trace,
@@ -346,9 +352,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
             )
     c_bodies = tuple([cube] * (n - 2 * k))
     fm = build_matrix(bodies, k, c_bodies)
-    mx = fm.matrix.matvec(x_t)
-    pair_xy = dot(y_t, mx)
-    pair_xx = dot(x_t, mx)
+    pair_xy, pair_xx = witness_pairings(fm.table, fm.classes, x_t, y_t)
     _check(
         pair_xy == base.pair_xy == 0,
         f"lifted pairing {pair_xy} differs from base {base.pair_xy}",
@@ -358,7 +362,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
         f"lifted quadratic form {pair_xx} differs from base {base.pair_xx}",
     )
     _check(pair_xx > 0, "lifted quadratic form is not strictly positive")
-    violation = find_violation(fm.matrix, witness=(tuple(x_t), tuple(y_t)))
+    violation = find_violation(fm.table, fm.classes, witness=(x_t, y_t))
     trace = {
         "mode": "reduction",
         "base_k": 2,
@@ -407,15 +411,15 @@ def double_polarization_check(base: PipelineData, cert: Certificate) -> bool:
     for pos, (i, delta) in enumerate(cert.labels):
         sign = -1 if (k + sum(delta)) % 2 else 1
         positions.setdefault(i, []).append((pos, sign))
-    size = base.fedotov.m
-    for i in range(size):
-        for j in range(i, size):
+    fm = base.fedotov
+    for i in range(fm.m):
+        for j in range(i, fm.m):
             total = Fraction(0)
             for pos_a, sign_a in positions[i]:
                 row = cert.matrix.entries[pos_a]
                 for pos_b, sign_b in positions[j]:
                     total += sign_a * sign_b * row[pos_b]
-            if scale * total != base.fedotov.matrix[i, j]:
+            if scale * total != fm.table[fm.classes[i], fm.classes[j]]:
                 return False
     return True
 
@@ -475,13 +479,13 @@ def random_search(
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate through the independent evaluation path.
 
-    Every stored entry M_ij (i <= j, row-major) is compared against a value
-    recomputed from the stored widths by the derivative path (the builder
-    used the permanent path). That path differentiates V once per distinct
-    body width class and then pairs, so each distinct entry is evaluated
-    once. The pairings are re-evaluated, the minor determinant is
-    recomputed by fraction-free elimination, and the sign condition is
-    confirmed. Bounds are checked before any arithmetic.
+    The table over the stored bodies' width classes is recomputed from the
+    widths by the derivative path (the builder used the permanent path),
+    which differentiates V once per class and then pairs, so each distinct
+    entry is evaluated once. Every stored entry M_ij (i <= j, row-major) is
+    compared against it, the pairings are re-evaluated on it, the minor
+    determinant is recomputed by fraction-free elimination, and the sign
+    condition is confirmed. Bounds are checked before any arithmetic.
     """
 
     def fail(reason: str) -> VerificationReport:
@@ -511,25 +515,17 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     if not cert.matrix.is_positive:
         return fail("matrix is not entrywise positive")
     reps, classes = width_classes(cert.bodies)
-    entry = kfold_via_derivatives(n, reps, k, cert.c_bodies)
-    values: dict[tuple[int, int], Rat] = {}
-    for i in range(size):
+    table = _symmetric_table(len(reps), kfold_via_derivatives(n, reps, k, cert.c_bodies))
+    for i, row in enumerate(cert.matrix.entries):
+        recomputed_row = table.entries[classes[i]]
         for j in range(i, size):
-            key = tuple(sorted((classes[i], classes[j])))
-            recomputed = values.get(key)
-            if recomputed is None:
-                recomputed = values[key] = entry(*key)
-            if recomputed != cert.matrix[i, j]:
-                return fail(
-                    f"matrix entry ({i},{j}) is {cert.matrix[i, j]}, "
-                    f"recomputed {recomputed}"
-                )
+            recomputed = recomputed_row[classes[j]]
+            if recomputed != row[j]:
+                return fail(f"matrix entry ({i},{j}) is {row[j]}, recomputed {recomputed}")
     if cert.x or cert.y:
         if len(cert.x) != size or len(cert.y) != size:
             return fail("witness vector dimension mismatch")
-        mx = cert.matrix.matvec(cert.x)
-        pair_xy = dot(cert.y, mx)
-        pair_xx = dot(cert.x, mx)
+        pair_xy, pair_xx = witness_pairings(table, classes, cert.x, cert.y)
         if pair_xy != 0 or cert.pair_xy != 0:
             return fail(f"pairing <x,My> is {pair_xy}, expected 0")
         if pair_xx != cert.pair_xx:

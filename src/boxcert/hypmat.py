@@ -10,6 +10,11 @@ singular case, and a core-shrinking search that reduces a non-hyperbolic
 matrix to a small index set on which exhaustive minor enumeration is
 feasible.
 
+The core search and the witness pairings take a matrix as (table, classes),
+M_ij = table[classes[i]][classes[j]]; a plain matrix is (m, range(m)). For J
+with classes C, M_J = P^T T_C P with P of full row rank, so by Sylvester's
+law of inertia every inertia is taken on T_C.
+
 Everything on the certification path is exact rational arithmetic.
 """
 
@@ -52,10 +57,6 @@ class Violation:
         if (-1) ** len(self.subset) * self.det_value <= 0:
             raise ValueError("subset does not witness a sign violation")
 
-    @property
-    def size_parity_sign(self) -> int:
-        return -1 if len(self.subset) % 2 else 1
-
     def to_json(self) -> dict:
         return {"I": list(self.subset), "det": rat_to_str(self.det_value)}
 
@@ -65,6 +66,31 @@ def _require_symmetric_positive(m: RatMatrix) -> None:
         raise ValueError("matrix must be symmetric")
     if not m.is_positive:
         raise ValueError("matrix must have strictly positive entries")
+
+
+def class_matrix(table: RatMatrix, classes: Sequence[int]) -> RatMatrix:
+    """The m x m matrix M_ij = table[classes[i]][classes[j]]."""
+    e = table.entries
+    return RatMatrix([[e[a][b] for b in classes] for a in classes])
+
+
+def _class_sums(table: RatMatrix, classes: Sequence[int], v: Sequence[Rat]) -> list[Rat]:
+    """Per row of ``table``, the sum of v_i over the indices i of that class."""
+    if len(v) != len(classes):
+        raise ValueError("vector dimension mismatch")
+    sums = [Fraction(0)] * table.rows
+    for c, vi in zip(classes, v):
+        sums[c] += vi
+    return sums
+
+
+def witness_pairings(
+    table: RatMatrix, classes: Sequence[int], x: Sequence[Rat], y: Sequence[Rat]
+) -> tuple[Rat, Rat]:
+    """(<y, Mx>, <x, Mx>), as the table's form on the class sums of x and y."""
+    x_sums = _class_sums(table, classes, x)
+    tx = table.matvec(x_sums)
+    return dot(_class_sums(table, classes, y), tx), dot(x_sums, tx)
 
 
 def is_hyperbolic(m: RatMatrix) -> bool:
@@ -157,13 +183,15 @@ def equality_witness(m: RatMatrix) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
     return x, y
 
 
-def _keeps_two_positive(m: RatMatrix, subset: Sequence[int]) -> bool:
+def _keeps_two_positive(
+    table: RatMatrix, classes: Sequence[int], subset: Sequence[int]
+) -> bool:
     if len(subset) < 2:
         return False
-    return inertia(principal_submatrix(m, subset)).n_pos >= 2
+    return inertia(principal_submatrix(table, {classes[i] for i in subset})).n_pos >= 2
 
 
-def greedy_core(m: RatMatrix) -> tuple[int, ...]:
+def greedy_core(table: RatMatrix, classes: Sequence[int]) -> tuple[int, ...]:
     """Shrink a non-hyperbolic matrix to a removal-minimal index core.
 
     Every accepted removal is verified by exact inertia: the remaining
@@ -177,8 +205,8 @@ def greedy_core(m: RatMatrix) -> tuple[int, ...]:
     matrix (Cauchy interlacing), so a core with n_pos >= 2 proves it for the
     input, and when no removal was accepted the core is the input itself.
     """
-    _require_symmetric_positive(m)
-    live = list(range(m.rows))
+    _require_symmetric_positive(table)
+    live = list(range(len(classes)))
     changed = True
     while changed:
         changed = False
@@ -187,13 +215,13 @@ def greedy_core(m: RatMatrix) -> tuple[int, ...]:
             start = 0
             while start < len(live):
                 candidate = live[:start] + live[start + window :]
-                if _keeps_two_positive(m, candidate):
+                if _keeps_two_positive(table, classes, candidate):
                     live = candidate
                     changed = True
                 else:
                     start += 1
             window //= 2
-    if not _keeps_two_positive(m, live):
+    if not _keeps_two_positive(table, classes, live):
         raise ValueError("matrix is already hyperbolic; nothing to localize")
     return tuple(live)
 
@@ -208,7 +236,7 @@ def witness_implies_two_positive(gx: Rat, gy: Rat, gxy: Rat) -> bool:
 
 
 def shrink_with_witness(
-    m: RatMatrix, x: Sequence[Rat], y: Sequence[Rat]
+    table: RatMatrix, classes: Sequence[int], x: Sequence[Rat], y: Sequence[Rat]
 ) -> tuple[int, ...]:
     """Quadratic-cost core shrink guided by an exact Gram-PD witness.
 
@@ -216,69 +244,65 @@ def shrink_with_witness(
     removed while the Gram matrix of the restricted vectors under the
     restricted matrix stays positive definite; that property certifies
     n_pos >= 2 for every intermediate submatrix without computing a full
-    inertia. Intended as a pre-pass before greedy_core on matrices too
-    large for cubic-cost eliminations.
+    inertia. The row sums (Mx)_a and (My)_a depend only on the class of a,
+    so they are kept per class: a removal updates c values.
     """
-    if not m.is_symmetric:
+    if not table.is_symmetric:
         raise ValueError("matrix must be symmetric")
-    size = m.rows
-    if len(x) != size or len(y) != size:
-        raise ValueError("vector dimension mismatch")
-    live = [i for i in range(size) if x[i] != 0 or y[i] != 0]
-    e = m.entries
-    cx = {a: sum((x[b] * e[a][b] for b in live), Fraction(0)) for a in live}
-    cy = {a: sum((y[b] * e[a][b] for b in live), Fraction(0)) for a in live}
-    gx = sum((x[a] * cx[a] for a in live), Fraction(0))
-    gy = sum((y[a] * cy[a] for a in live), Fraction(0))
-    gxy = sum((x[a] * cy[a] for a in live), Fraction(0))
+    x_sums, y_sums = _class_sums(table, classes, x), _class_sums(table, classes, y)
+    cx, cy = list(table.matvec(x_sums)), list(table.matvec(y_sums))
+    gx, gy, gxy = dot(x_sums, cx), dot(y_sums, cy), dot(x_sums, cy)
     if not witness_implies_two_positive(gx, gy, gxy):
         raise ValueError("witness pair does not certify two positive directions")
+    live = [i for i in range(len(classes)) if x[i] != 0 or y[i] != 0]
+    e = table.entries
     changed = True
     while changed:
         changed = False
         for a in list(live):
-            xa, ya, maa = x[a], y[a], e[a][a]
-            gx2 = gx - 2 * xa * cx[a] + xa * xa * maa
-            gy2 = gy - 2 * ya * cy[a] + ya * ya * maa
-            gxy2 = gxy - xa * cy[a] - ya * cx[a] + xa * ya * maa
+            xa, ya, ca = x[a], y[a], classes[a]
+            maa = e[ca][ca]
+            gx2 = gx - 2 * xa * cx[ca] + xa * xa * maa
+            gy2 = gy - 2 * ya * cy[ca] + ya * ya * maa
+            gxy2 = gxy - xa * cy[ca] - ya * cx[ca] + xa * ya * maa
             if witness_implies_two_positive(gx2, gy2, gxy2):
                 live.remove(a)
                 gx, gy, gxy = gx2, gy2, gxy2
-                for b in live:
-                    cx[b] -= xa * e[b][a]
-                    cy[b] -= ya * e[b][a]
+                for c, row in enumerate(e):
+                    cx[c] -= xa * row[ca]
+                    cy[c] -= ya * row[ca]
                 changed = True
     return tuple(live)
 
 
 def find_violation(
-    m: RatMatrix,
+    table: RatMatrix,
+    classes: Sequence[int],
     witness: Optional[tuple[Sequence[Rat], Sequence[Rat]]] = None,
 ) -> Violation:
     """Locate a principal-minor sign violation in a non-hyperbolic matrix.
 
     With a witness pair the matrix is first shrunk at quadratic cost, then
     polished by greedy_core and enumerated exhaustively; the returned
-    subset is expressed in the indices of ``m``. The one bound on the
+    subset is expressed in the indices of the matrix. The one bound on the
     enumeration is SUBSET_ENUMERATION_CAP, which sylvester_violation
     enforces on the core.
 
-    The precondition n_pos(m) >= 2 is checked before the core search, so a
+    The precondition n_pos >= 2 is checked before the core search, so a
     hyperbolic input raises ValueError without running it. With a witness,
     the Gram-PD check in shrink_with_witness is the proof; without one, an
-    exact inertia of ``m`` is.
+    exact inertia of the table on the classes present is.
     """
-    _require_symmetric_positive(m)
+    _require_symmetric_positive(table)
     if witness is not None:
-        pre = shrink_with_witness(m, *witness)
+        pre = shrink_with_witness(table, classes, *witness)
     else:
-        if inertia(m).n_pos < 2:
+        pre = range(len(classes))
+        if not _keeps_two_positive(table, classes, pre):
             raise ValueError("matrix is already hyperbolic; nothing to localize")
-        pre = tuple(range(m.rows))
-    sub = principal_submatrix(m, pre)
-    core_local = greedy_core(sub)
+    core_local = greedy_core(table, [classes[i] for i in pre])
     core = tuple(pre[i] for i in core_local)
-    violation = sylvester_violation(principal_submatrix(m, core))
+    violation = sylvester_violation(class_matrix(table, [classes[i] for i in core]))
     if violation is None:  # unreachable: the core keeps n_pos >= 2
         raise AssertionError("non-hyperbolic core produced no violation")
     return Violation(tuple(core[i] for i in violation.subset), violation.det_value)

@@ -180,26 +180,33 @@ def test_verify_output_writes_report(tmp_path, fmt, capsys):
     assert report.read_bytes() == printed.encode("utf-8")
 
 
-def test_dimension_bound_checked_before_work(capsys, monkeypatch):
+def test_dimension_bound_checked_before_work(tmp_path, capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("work started past the dimension bound")
 
     for target in (
         "boxcert.cli.primitive_space_basis",
+        "boxcert.cli.random_instance",
+        "boxcert.cli.build_matrix",
         "boxcert.fedotov.primitive_space_basis",
         "boxcert.fedotov.pipeline_base_k2",
         "boxcert.fedotov.build_matrix",
     ):
         monkeypatch.setattr(target, refuse)
+    instance = tmp_path / "instance.json"
+    cube = {"widths": ["1"] * 13}
+    instance.write_text(json.dumps({"n": 13, "bodies": [cube], "c_bodies": [cube] * 11}))
     for argv in (
         ["fedotov", "construct", "--n", "16", "--k", "2"],
         ["fedotov", "search", "--n", "13", "--k", "2", "--m", "3"],
         ["hodge", "primitive", "--n", "16", "--k", "8"],
+        ["shephard", "--n", "2400", "--m", "2"],
+        ["shephard", "--file", str(instance)],
     ):
         assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("exceeds the supported envelope n <= 12") == 3
+    assert captured.err.count("exceeds the supported envelope n <= 12") == 5
 
 
 @pytest.fixture(scope="module")
@@ -225,10 +232,17 @@ def _verify_data(tmp_path, data, *flags):
         ("n", "4"),
         ("k", True),
         ("labels", [0.5] + list(range(1, 13))),
+        ("matrix", [["1/0"]]),
+        ("bodies", [["1/0", "1", "1", "1"]]),
+        ("subset_det", "1/0"),
+        ("x", ["1/0"]),
+        ("pair_xx", "1/0"),
     ],
     ids=[
         "bodies-int", "matrix-null", "version-list", "subset-string", "bodies-row",
-        "subset-float", "n-string", "k-bool", "label-float",
+        "subset-float", "n-string", "k-bool", "label-float", "entry-zero-denominator",
+        "width-zero-denominator", "subset-det-zero-denominator", "x-zero-denominator",
+        "pair-xx-zero-denominator",
     ],
 )
 def test_verify_malformed_field_exits_1(tmp_path, capsys, cert_n4_data, field, value):
@@ -292,6 +306,7 @@ GOOD_BODY = {"widths": ["3", "1"]}
             {"widths": ["1", "2"], "multiplicity": 1.5},
             {"width": ["1", "2"]},
             ["1", "2"],
+            {"widths": ["1/0", "2"]},
         )
     ]
     + [
@@ -301,7 +316,8 @@ GOOD_BODY = {"widths": ["3", "1"]}
     ],
     ids=[
         "widths-string", "offset-float", "offset-short", "offset-long", "offset-string",
-        "multiplicity-float", "no-widths", "body-list", "n-float", "no-n", "file-list",
+        "multiplicity-float", "no-widths", "body-list", "width-zero-denominator", "n-float",
+        "no-n", "file-list",
     ],
 )
 def test_mixvol_rejects_malformed_body(tmp_path, capsys, data):
@@ -327,10 +343,11 @@ def test_input_offset_is_checked_then_ignored(tmp_path, capsys):
 
 def test_shephard_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps({"n": 2, "bodies": [["1", "2"]], "c_bodies": []}))
-    assert main(["shephard", "--file", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("usage error: ")
+    for bodies in ([["1", "2"]], [{"widths": ["1", "2/0"]}]):
+        path.write_text(json.dumps({"n": 2, "bodies": bodies, "c_bodies": []}))
+        assert main(["shephard", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
 
 
 def test_shephard_bound_checked_before_build(tmp_path, capsys, monkeypatch):

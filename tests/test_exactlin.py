@@ -17,7 +17,6 @@ from boxcert.exactlin import (
     rat_from_str,
     rat_to_str,
     rref,
-    solve,
 )
 from boxcert.selftest import random_rational_matrix, random_symmetric_positive
 
@@ -168,7 +167,7 @@ def test_inertia_det_sign_relation():
         m = RatMatrix(rows)
         ine = inertia(m)
         d = det(m)
-        assert ine.dim == dim
+        assert ine.n_pos + ine.n_neg + ine.n_zero == dim
         if ine.n_zero == 0:
             assert (d > 0) == (ine.n_neg % 2 == 0)
             assert d != 0
@@ -206,18 +205,6 @@ def test_nullspace_vectors_satisfy_mz_zero():
         assert len(basis) == m.cols - rank(m)
         for z in basis:
             assert all(v == 0 for v in m.matvec(z))
-
-
-def test_solve_roundtrip():
-    rng = random.Random(17)
-    for _ in range(20):
-        dim = rng.randrange(1, 6)
-        while True:
-            m = random_rational_matrix(rng, dim, dim)
-            if det(m) != 0:
-                break
-        z = tuple(F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(dim))
-        assert solve(m, m.matvec(z)) == z
 
 
 def test_principal_submatrix_cases():

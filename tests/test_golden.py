@@ -20,6 +20,11 @@ GOLDEN = {
         ["fedotov", "construct", "--n", "6", "--k", "3", "--format", "json"],
         "0576ff0b9a43e59b84587228e5171c55f42b37314482b193f538416c51064376",
     ),
+    # the pipeline benchmark's certificate: 681,439 bytes
+    "construct-8-4-json": (
+        ["fedotov", "construct", "--n", "8", "--k", "4", "--format", "json"],
+        "e13805d897eaa6c2e9662018e67c40d13bc8f3ef39e566f160d986b95b94b17d",
+    ),
     "search-4-2-m4-json": (
         ["fedotov", "search", "--n", "4", "--k", "2", "--m", "4",
          "--trials", "100", "--seed", "7", "--format", "json"],

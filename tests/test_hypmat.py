@@ -1,22 +1,25 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from boxcert.boxes import BoxBody, unit_cube
 from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix
-from boxcert.fedotov import build_matrix
+from boxcert.fedotov import build_matrix, pipeline_base_k2, reduce_to_general_k
 from boxcert.hypmat import (
     SUBSET_ENUMERATION_CAP,
     Violation,
     _principal_minors,
     af_form_check,
+    class_matrix,
     equality_witness,
     find_violation,
     greedy_core,
     is_hyperbolic,
     shrink_with_witness,
     sylvester_violation,
+    witness_pairings,
 )
 from boxcert.selftest import (
     random_box,
@@ -57,7 +60,6 @@ def test_sylvester_violation_found():
     violation = sylvester_violation(RatMatrix([[2, 1], [1, 2]]))
     assert violation.subset == (0, 1)
     assert violation.det_value == 3
-    assert violation.size_parity_sign == 1
 
 
 def test_sylvester_violation_none_for_hyperbolic():
@@ -199,23 +201,23 @@ def test_equality_witness_homothety_shephard():
 
 def test_greedy_core_minimal_input():
     m = RatMatrix([[2, 1], [1, 2]])
-    assert greedy_core(m) == (0, 1)
+    assert greedy_core(m, range(2)) == (0, 1)
 
 
 def test_greedy_core_planted_block():
     m = planted_block_matrix()
     assert inertia(m).n_pos >= 2
-    core = greedy_core(m)
+    core = greedy_core(m, range(6))
     assert set(core) <= {0, 1, 2}
     sub = principal_submatrix(m, core)
     assert inertia(sub).n_pos >= 2
     # idempotence
-    assert greedy_core(sub) == tuple(range(len(core)))
+    assert greedy_core(sub, range(len(core))) == tuple(range(len(core)))
 
 
 def test_greedy_core_rejects_hyperbolic():
     with pytest.raises(ValueError):
-        greedy_core(RatMatrix([[1, 2], [2, 1]]))
+        greedy_core(RatMatrix([[1, 2], [2, 1]]), range(2))
 
 
 def test_find_violation_without_witness_rejects_hyperbolic_up_front(monkeypatch):
@@ -224,12 +226,12 @@ def test_find_violation_without_witness_rejects_hyperbolic_up_front(monkeypatch)
     bodies = [random_box(rng, n) for _ in range(12)]
     m = build_matrix(bodies, 1, [random_box(rng, n) for _ in range(n - 2)]).matrix
 
-    def no_core_search(_):
+    def no_core_search(*_):
         raise AssertionError("greedy_core ran on a hyperbolic matrix")
 
     monkeypatch.setattr("boxcert.hypmat.greedy_core", no_core_search)
     with pytest.raises(ValueError):
-        find_violation(m)
+        find_violation(m, range(m.rows))
 
 
 def test_shrink_with_witness_certifies_core():
@@ -237,7 +239,7 @@ def test_shrink_with_witness_certifies_core():
     # x spans the positive block directions, y picks a single one
     x = (F(1), F(1), F(0), F(0), F(0), F(0))
     y = (F(1), F(0), F(0), F(0), F(0), F(0))
-    live = shrink_with_witness(m, x, y)
+    live = shrink_with_witness(m, range(6), x, y)
     assert set(live) <= {0, 1}
     sub = principal_submatrix(m, live)
     assert inertia(sub).n_pos >= 2
@@ -246,14 +248,93 @@ def test_shrink_with_witness_certifies_core():
 def test_shrink_with_witness_rejects_bad_witness():
     m = RatMatrix([[1, 2], [2, 1]])  # hyperbolic: no PD plane exists
     with pytest.raises(ValueError):
-        shrink_with_witness(m, (F(1), F(0)), (F(0), F(1)))
+        shrink_with_witness(m, range(2), (F(1), F(0)), (F(0), F(1)))
 
 
 def test_find_violation_with_and_without_witness():
     m = planted_block_matrix()
-    v1 = find_violation(m)
+    v1 = find_violation(m, range(6))
     assert (-1) ** len(v1.subset) * det(principal_submatrix(m, v1.subset)) > 0
     x = (F(1), F(1), F(0), F(0), F(0), F(0))
     y = (F(1), F(0), F(0), F(0), F(0), F(0))
-    v2 = find_violation(m, witness=(x, y))
+    v2 = find_violation(m, range(6), witness=(x, y))
     assert (-1) ** len(v2.subset) * det(principal_submatrix(m, v2.subset)) > 0
+
+
+def _duplicated_and_shuffled(bodies, c_bodies, k, x, y, seed):
+    """The matrix over ``bodies`` with a third of them repeated, in shuffled order.
+
+    A repeated body's weights in x and y are split evenly over its copies, so
+    the class sums, and with them the witness pairings, keep their values.
+    """
+    rng = random.Random(seed)
+    order = list(range(len(bodies))) + rng.sample(range(len(bodies)), len(bodies) // 3)
+    rng.shuffle(order)
+    copies = Counter(order)
+    fm = build_matrix([bodies[i] for i in order], k, c_bodies)
+    return fm, [x[i] / copies[i] for i in order], [y[i] / copies[i] for i in order]
+
+
+@pytest.fixture(scope="module")
+def pipeline_matrices():
+    lifted = reduce_to_general_k(pipeline_base_k2(6), 3)
+    cases = [(b.bodies, b.c_bodies, 2, b.x, b.y) for b in map(pipeline_base_k2, (4, 5))]
+    cases.append((lifted.bodies, lifted.c_bodies, 3, lifted.x, lifted.y))
+    return [_duplicated_and_shuffled(*case, seed=n) for n, case in enumerate(cases)]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_factored_matches_plain(table, classes, x, y):
+    """Each factored-form routine returns what it returns on the m x m matrix."""
+    plain = (class_matrix(table, classes), range(len(classes)))
+    for fn, args, kwargs in (
+        (shrink_with_witness, (x, y), {}),
+        (greedy_core, (), {}),
+        (find_violation, (), {}),
+        (find_violation, (), {"witness": (x, y)}),
+    ):
+        factored = _outcome(fn, table, classes, *args, **kwargs)
+        assert factored == _outcome(fn, *plain, *args, **kwargs), fn.__name__
+
+
+def test_factored_form_matches_plain_on_pipeline_matrices(pipeline_matrices):
+    for fm, x, y in pipeline_matrices:
+        assert len(set(fm.classes)) < fm.m
+        _assert_factored_matches_plain(fm.table, fm.classes, x, y)
+
+
+def test_witness_pairings_match_matvec(pipeline_matrices):
+    for fm, x, y in pipeline_matrices:
+        mx = fm.matrix.matvec(x)
+        assert witness_pairings(fm.table, fm.classes, x, y) == (dot(y, mx), dot(x, mx))
+    rng = random.Random(8)
+    for _ in range(30):
+        c = rng.randrange(1, 5)
+        classes = [rng.randrange(c) for _ in range(rng.randrange(1, 9))]
+        table = random_symmetric_positive(rng, c)
+        x = random_nonneg_vector(rng, len(classes))
+        y = random_nonneg_vector(rng, len(classes))
+        mx = class_matrix(table, classes).matvec(x)
+        assert witness_pairings(table, classes, x, y) == (dot(y, mx), dot(x, mx))
+
+
+def test_factored_form_matches_plain_on_random_tables():
+    rng = random.Random(9)
+    found = 0
+    for _ in range(60):
+        c = rng.randrange(2, 6)
+        classes = list(range(c)) + [rng.randrange(c) for _ in range(rng.randrange(0, 5))]
+        rng.shuffle(classes)
+        table = random_symmetric_positive(rng, c)
+        x = random_nonneg_vector(rng, len(classes))
+        y = random_nonneg_vector(rng, len(classes))
+        _assert_factored_matches_plain(table, classes, x, y)
+        violation = _outcome(find_violation, table, classes, witness=(x, y))
+        found += isinstance(violation, Violation)
+    assert found >= 5  # the witness path ran to a violation, not only to its errors
