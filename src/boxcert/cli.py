@@ -13,10 +13,10 @@ Each subparser names its handler through ``set_defaults(handler=...)``, and
 the handler takes the parsed ``argparse.Namespace`` itself as its
 configuration.
 
-Exit status: 0 success, 1 verification failure, 2 usage error (bad flags, a
-malformed ``mixvol``/``shephard`` input file, or a bound exceeded before any
-work starts: n <= 12 for ``fedotov construct``/``search``, ``hodge
-primitive`` and ``shephard``, m <= 22 for ``shephard``). Output for a fixed
+Exit status: 0 success, 1 verification failure, 2 a ``UsageError`` (bad
+flags, a malformed ``mixvol``/``shephard`` input file, or a bound exceeded
+before any work: n <= 12, and m <= 22 for ``shephard``/``fedotov search``);
+any other exception is a fault and propagates. Output for a fixed
 command line (including --seed) is byte-identical across runs and
 independent of --threads. ``--trials`` counts instances exactly (1 for
 ``shephard`` and 100 for ``fedotov search`` by default; 0 runs none).
@@ -66,6 +66,13 @@ class UsageError(Exception):
 def require_dimension(n: int) -> None:
     if n > MAX_DIMENSION:
         raise UsageError(f"n = {n} exceeds the supported envelope n <= {MAX_DIMENSION}")
+
+
+def require_minor_cap(m: int) -> None:
+    if m > SUBSET_ENUMERATION_CAP:
+        raise UsageError(
+            f"m = {m} exceeds the exhaustive minor enumeration cap {SUBSET_ENUMERATION_CAP}"
+        )
 
 
 def require_degree_bounds(args: argparse.Namespace) -> None:
@@ -121,12 +128,19 @@ def _box_from_entry(n: int, entry: dict) -> BoxBody:
 
 def cmd_mixvol(args: argparse.Namespace) -> int:
     data = _load_json(args.file)
-    n = json_int(_field(data, "n", "input file"), "n")
-    entries = tuple(
-        (_box_from_entry(n, e), json_int(e.get("multiplicity", 1), "multiplicity"))
-        for e in json_list(_field(data, "bodies", "input file"), "bodies")
-    )
-    t = BodyTuple(n, entries)
+    try:
+        n = json_int(_field(data, "n", "input file"), "n")
+        require_dimension(n)
+        entries = tuple(
+            (_box_from_entry(n, e), json_int(e.get("multiplicity", 1), "multiplicity"))
+            for e in json_list(_field(data, "bodies", "input file"), "bodies")
+        )
+        total = sum(mult for _, mult in entries)
+        if total != n:
+            raise UsageError(f"multiplicities sum to {total}, expected {n}")
+        t = BodyTuple(n, entries)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     value = mixed_volume(t)
     cross = mixed_volume_via_derivatives(t)
     if value != cross:  # pragma: no cover - would indicate an engine bug
@@ -142,12 +156,19 @@ def cmd_mixvol(args: argparse.Namespace) -> int:
 def cmd_shephard(args: argparse.Namespace) -> int:
     if args.file:
         data = _load_json(args.file)
-        n = json_int(_field(data, "n", "input file"), "n")
-        require_dimension(n)
-        bodies, c_bodies = (
-            [_box_from_entry(n, e) for e in json_list(_field(data, key, "input file"), key)]
-            for key in ("bodies", "c_bodies")
-        )
+        try:
+            n = json_int(_field(data, "n", "input file"), "n")
+            require_dimension(n)
+            bodies, c_bodies = (
+                [_box_from_entry(n, e) for e in json_list(_field(data, key, "input file"), key)]
+                for key in ("bodies", "c_bodies")
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        if not bodies or len(c_bodies) != n - 2:
+            raise UsageError(
+                f"need at least 1 body and {n - 2} c_bodies, got {len(bodies)} and {len(c_bodies)}"
+            )
         m = len(bodies)
         instances = [(bodies, c_bodies)]
     else:
@@ -163,10 +184,7 @@ def cmd_shephard(args: argparse.Namespace) -> int:
         instances = (
             random_instance(args.n, 1, m, args.seed, trial) for trial in range(args.trials)
         )
-    if m > SUBSET_ENUMERATION_CAP:
-        raise UsageError(
-            f"m = {m} exceeds the exhaustive minor enumeration cap {SUBSET_ENUMERATION_CAP}"
-        )
+    require_minor_cap(m)
     results = []
     all_ok = True
     for index, (bodies, c_bodies) in enumerate(instances):
@@ -221,6 +239,7 @@ def cmd_fedotov_search(args: argparse.Namespace) -> int:
     require_degree_bounds(args)
     if args.m is None or args.m < 1:
         raise UsageError("--m is required and must be >= 1")
+    require_minor_cap(args.m)
     cert, stats = random_search(args.n, args.k, args.m, args.trials, args.seed)
     ok = True
     if cert is not None:
@@ -415,7 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "trials", 0) < 0:
             raise UsageError("--trials must be nonnegative")
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
 

@@ -47,12 +47,15 @@ def rat_from_str(text: str) -> Rat:
     """Parse an exact rational from a string; any other type is rejected.
 
     Input files hold rationals as strings, so a JSON number (a binary float
-    in particular) never becomes a Fraction; "1/0" is a ValueError too.
+    in particular) never becomes a Fraction. "1/0" is a ValueError, and so
+    is "1e400": a short exponent string would build a huge integer.
     """
     if not isinstance(text, str):
         raise ValueError(
             f"expected a rational string such as \"p/q\", got {type(text).__name__} {text!r}"
         )
+    if "e" in text or "E" in text:
+        raise ValueError(f"decimal exponent in {text!r}; write the rational as \"p/q\"")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -174,12 +177,6 @@ def integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def integer_rows(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; return (rows, product of scale factors)."""
-    scaled = [integer_row(row) for row in rows]
-    return [z for z, _ in scaled], prod(d for _, d in scaled)
-
-
 def det(m: RatMatrix) -> Rat:
     """Exact determinant via fraction-free Bareiss elimination.
 
@@ -191,7 +188,8 @@ def det(m: RatMatrix) -> Rat:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a, scale = integer_rows(m.entries)
+    scaled = [integer_row(row) for row in m.entries]
+    a, scale = [z for z, _ in scaled], prod(d for _, d in scaled)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -133,7 +133,7 @@ def build_matrix(
 ) -> FedotovMatrix:
     """Assemble M_ij = V(K_i[k], K_j[k], C...) exactly.
 
-    One permanent-path mixed volume per distinct pair of width classes;
+    One coefficient-path mixed volume per distinct pair of width classes;
     every entry of a class pair shares that value.
     """
     bodies = tuple(bodies)
@@ -480,7 +480,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate through the independent evaluation path.
 
     The table over the stored bodies' width classes is recomputed from the
-    widths by the derivative path (the builder used the permanent path),
+    widths by the derivative path (the builder extracts coefficients),
     which differentiates V once per class and then pairs, so each distinct
     entry is evaluated once. Every stored entry M_ij (i <= j, row-major) is
     compared against it, the pairings are re-evaluated on it, the minor

@@ -1,18 +1,17 @@
 """Mixed volumes of axis-aligned boxes.
 
-For boxes the mixed volume V(K_1, ..., K_n) is perm(W)/n!, where row r of W
-is the widths vector of the r-th body (repeated according to multiplicity).
-The permanent is evaluated by Ryser's inclusion-exclusion with Gray-code
-column updates, over integers: rows are scaled by their denominator lcm
-first and the result is unscaled, so the whole path is exact.
+For boxes vol(sum_r lambda_r K_r) = prod_t sum_r lambda_r w_{r,t}, so
+V(K_1[m_1], ..., K_R[m_R]) = (prod_r m_r! / n!) [lambda^m] of that product
+of n linear forms. ``mixed_volume`` extracts the coefficient exactly, by an
+integer dynamic programme over the coordinates t.
 
 A second, independent evaluation path goes through the volume polynomial:
 V(K_1, ..., K_n) = (1/n!) D_{K_1} ... D_{K_n} V with the derivative
-operators of the diffop module. The two paths are used to cross-check each
-other throughout, and certificate verification deliberately uses the path
-the certificate builder did not. For a whole table of k-fold entries
-V(A_a[k], A_b[k], C...) the derivative path differentiates once per body
-and then pairs (``kfold_via_derivatives``).
+operators of the diffop module. The two paths cross-check each other
+throughout, and certificate verification uses the derivative path, which
+the builder does not. For a whole table of k-fold entries
+V(A_a[k], A_b[k], C...) it differentiates once per body and then pairs
+(``kfold_via_derivatives``).
 
 Nothing is cached between calls: callers that need many entries evaluate
 each distinct one once themselves.
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 from .boxes import BoxBody, minkowski_combine
 from .diffop import contract, op_from_box, volume_polynomial
-from .exactlin import Rat, integer_row, integer_rows
+from .exactlin import Rat, integer_row
 
 MAX_DIMENSION = 12
 
@@ -58,13 +57,6 @@ class BodyTuple:
         if self.n > MAX_DIMENSION:
             raise ValueError(f"dimension {self.n} exceeds the supported envelope")
 
-    @property
-    def width_rows(self) -> tuple[tuple[Rat, ...], ...]:
-        rows = []
-        for box, mult in self.entries:
-            rows.extend([box.widths] * mult)
-        return tuple(rows)
-
 
 def body_tuple(*bodies: BoxBody) -> BodyTuple:
     """BodyTuple from n explicit bodies, each with multiplicity 1."""
@@ -73,49 +65,46 @@ def body_tuple(*bodies: BoxBody) -> BodyTuple:
     return BodyTuple(bodies[0].n, tuple((b, 1) for b in bodies))
 
 
-def _int_permanent(rows: list[list[int]]) -> int:
-    """Ryser's formula with Gray-code updates, O(2^n * n) integer ops."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    sums = [0] * n
-    total = 0
-    prev = 0
-    for g in range(1, 1 << n):
-        gray = g ^ (g >> 1)
-        bit = gray ^ prev
-        j = bit.bit_length() - 1
-        if gray & bit:
-            for i in range(n):
-                sums[i] += rows[i][j]
-        else:
-            for i in range(n):
-                sums[i] -= rows[i][j]
-        prev = gray
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            if (n - gray.bit_count()) % 2:
-                total -= prod
-            else:
-                total += prod
-    return total
-
-
 def mixed_volume(t: BodyTuple) -> Rat:
-    """Exact mixed volume via the integer permanent (reference path)."""
-    rows, scale = integer_rows(t.width_rows)
-    return Fraction(_int_permanent(rows), factorial(t.n) * scale)
+    """Exact mixed volume: the lambda^m coefficient, by a DP over coordinates.
+
+    The state is how many factors each entry has used, prod_r (m_r + 1)
+    states; at coordinate t each state passes value * (integer width) on to
+    the state one entry further. Entry r's count is a bit field starting at
+    2^b - 1 - m_r (b = m_r.bit_length()) under a guard bit, which is set
+    exactly when the count would pass m_r: one AND per transition.
+    """
+    steps = []
+    start = guard = shift = 0
+    den = scale = 1
+    for box, mult in t.entries:
+        widths, d = integer_row(box.widths)
+        bits = mult.bit_length()
+        start |= ((1 << bits) - 1 - mult) << shift
+        guard |= 1 << (shift + bits)
+        steps.append((widths, 1 << shift))
+        shift += bits + 1
+        den *= d**mult
+        scale *= factorial(mult)
+    layer = {start: 1}
+    for coord in range(t.n):
+        following: dict[int, int] = {}
+        get = following.get
+        for widths, step in steps:
+            width = widths[coord]
+            if width:
+                for state, value in layer.items():
+                    target = state + step
+                    if not target & guard:
+                        following[target] = get(target, 0) + value * width
+        layer = following
+    return Fraction(scale * sum(layer.values()), factorial(t.n) * den)
 
 
 def mixed_volume_via_derivatives(t: BodyTuple) -> Rat:
     """Exact mixed volume via iterated directional derivatives of V.
 
-    Independent of the permanent path. Works on any body tuple; certificate
+    Independent of the coefficient path. Works on any body tuple; certificate
     verification uses the k-fold table form, ``kfold_via_derivatives``.
     """
     p = volume_polynomial(t.n)
@@ -165,20 +154,10 @@ def af_check(
     """Quadratic mixed-volume inequality for the pair (K, L) against C.
 
     Returns (lhs, rhs, holds) with lhs = V(K, L, C...)^2 and
-    rhs = V(K, K, C...) * V(L, L, C...). For boxes this always holds.
+    rhs = V(K, K, C...) * V(L, L, C...): ``iterated_af_check`` at
+    k = l = 1. For boxes this always holds.
     """
-    n = k_body.n
-    if n < 2:
-        raise ValueError("need dimension at least 2")
-    if len(c_bodies) != n - 2:
-        raise ValueError(f"expected {n - 2} auxiliary bodies, got {len(c_bodies)}")
-    tail = tuple((c, 1) for c in c_bodies)
-    v_kl = mixed_volume(BodyTuple(n, ((k_body, 1), (l_body, 1)) + tail))
-    v_kk = mixed_volume(BodyTuple(n, ((k_body, 2),) + tail))
-    v_ll = mixed_volume(BodyTuple(n, ((l_body, 2),) + tail))
-    lhs = v_kl * v_kl
-    rhs = v_kk * v_ll
-    return lhs, rhs, lhs >= rhs
+    return iterated_af_check(k_body, l_body, 1, 1, c_bodies)
 
 
 def iterated_af_check(
@@ -195,10 +174,7 @@ def iterated_af_check(
     if len(c_bodies) != n - k - l:
         raise ValueError(f"expected {n - k - l} auxiliary bodies")
     tail = tuple((c, 1) for c in c_bodies)
-    if k1 == k2:
-        mixed = mixed_volume(BodyTuple(n, ((k1, k + l),) + tail))
-    else:
-        mixed = mixed_volume(BodyTuple(n, ((k1, k), (k2, l)) + tail))
+    mixed = mixed_volume(BodyTuple(n, ((k1, k), (k2, l)) + tail))
     pure1 = mixed_volume(BodyTuple(n, ((k1, k + l),) + tail))
     pure2 = mixed_volume(BodyTuple(n, ((k2, k + l),) + tail))
     lhs = mixed ** (k + l)

@@ -72,8 +72,8 @@ def random_nonneg_vector(rng: random.Random, dim: int) -> tuple:
 
 
 def naive_permanent_mixed_volume(t: BodyTuple) -> Fraction:
-    """Permutation-sum oracle, independent of the Ryser implementation."""
-    rows = t.width_rows
+    """Permutation-sum oracle perm(W)/n!, independent of the coefficient DP."""
+    rows = [box.widths for box, mult in t.entries for _ in range(mult)]
     n = len(rows)
     total = Fraction(0)
     for perm in permutations(range(n)):
@@ -288,7 +288,7 @@ def suite_hr_mixed_volume_consistency(rng: random.Random, count: int) -> tuple[b
             BodyTuple(n, ((a_body, k), (b_body, k)) + tuple((c, 1) for c in c_bodies))
         )
         if form != factorial(n) * mv:
-            return False, f"operator/permanent mismatch at trial {trial}"
+            return False, f"operator/coefficient mismatch at trial {trial}"
     return True, f"{count} instances"
 
 

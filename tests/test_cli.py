@@ -237,12 +237,14 @@ def _verify_data(tmp_path, data, *flags):
         ("subset_det", "1/0"),
         ("x", ["1/0"]),
         ("pair_xx", "1/0"),
+        ("matrix", [["1e400"]]),
+        ("bodies", [["1e400", "1", "1", "1"]]),
     ],
     ids=[
         "bodies-int", "matrix-null", "version-list", "subset-string", "bodies-row",
         "subset-float", "n-string", "k-bool", "label-float", "entry-zero-denominator",
         "width-zero-denominator", "subset-det-zero-denominator", "x-zero-denominator",
-        "pair-xx-zero-denominator",
+        "pair-xx-zero-denominator", "entry-exponent", "width-exponent",
     ],
 )
 def test_verify_malformed_field_exits_1(tmp_path, capsys, cert_n4_data, field, value):
@@ -307,6 +309,8 @@ GOOD_BODY = {"widths": ["3", "1"]}
             {"width": ["1", "2"]},
             ["1", "2"],
             {"widths": ["1/0", "2"]},
+            {"widths": ["1e400", "2"]},
+            {"widths": ["1E-2", "2"]},
         )
     ]
     + [
@@ -316,8 +320,8 @@ GOOD_BODY = {"widths": ["3", "1"]}
     ],
     ids=[
         "widths-string", "offset-float", "offset-short", "offset-long", "offset-string",
-        "multiplicity-float", "no-widths", "body-list", "width-zero-denominator", "n-float",
-        "no-n", "file-list",
+        "multiplicity-float", "no-widths", "body-list", "width-zero-denominator",
+        "width-exponent", "width-negative-exponent", "n-float", "no-n", "file-list",
     ],
 )
 def test_mixvol_rejects_malformed_body(tmp_path, capsys, data):
@@ -363,3 +367,68 @@ def test_shephard_bound_checked_before_build(tmp_path, capsys, monkeypatch):
     assert main(["shephard", "--file", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("exceeds the exhaustive minor") == 2
+
+
+def test_mixvol_accepts_non_canonical_rationals(tmp_path, capsys):
+    # certificates and input files written by earlier versions may hold these
+    path = tmp_path / "tuple.json"
+    bodies = [{"widths": ["2/4", " 1.5 "]}, {"widths": ["+3", "1"]}]
+    path.write_text(json.dumps({"n": 2, "bodies": bodies}))
+    assert main(["mixvol", str(path)]) == 0
+    assert capsys.readouterr().out == "mixed volume = 5/2\n"
+
+
+def _usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and message in captured.err
+
+
+def test_search_minor_cap_checked_before_work(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("work started past the enumeration cap")
+
+    monkeypatch.setattr("boxcert.cli.random_search", refuse)
+    argv = ["fedotov", "search", "--n", "4", "--k", "2", "--m", "23"]
+    _usage_error(capsys, argv, "m = 23 exceeds the exhaustive minor enumeration cap 22")
+
+
+@pytest.mark.parametrize(
+    "bodies, c_bodies, message",
+    [
+        ([], [], "need at least 1 body and 0 c_bodies, got 0 and 0"),
+        ([GOOD_BODY], [GOOD_BODY], "need at least 1 body and 0 c_bodies, got 1 and 1"),
+    ],
+    ids=["no-bodies", "c-bodies-count"],
+)
+def test_shephard_file_shape_checked_before_work(
+    tmp_path, capsys, monkeypatch, bodies, c_bodies, message
+):
+    def refuse(*_):
+        raise AssertionError("build_matrix ran on a malformed instance")
+
+    monkeypatch.setattr("boxcert.cli.build_matrix", refuse)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": 2, "bodies": bodies, "c_bodies": c_bodies}))
+    _usage_error(capsys, ["shephard", "--file", str(path)], message)
+
+
+def test_mixvol_multiplicity_sum_checked_before_work(tmp_path, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a mixed volume was evaluated")
+
+    monkeypatch.setattr("boxcert.cli.mixed_volume", refuse)
+    path = tmp_path / "tuple.json"
+    bodies = [{"widths": ["1", "2"], "multiplicity": 2}, GOOD_BODY]
+    path.write_text(json.dumps({"n": 2, "bodies": bodies}))
+    _usage_error(capsys, ["mixvol", str(path)], "multiplicities sum to 3, expected 2")
+
+
+def test_value_error_inside_computation_is_not_a_usage_error(monkeypatch):
+    def fault(*_):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("boxcert.cli.construct_counterexample", fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["fedotov", "construct", "--n", "4", "--k", "2"])

@@ -25,6 +25,10 @@ GOLDEN = {
         ["fedotov", "construct", "--n", "8", "--k", "4", "--format", "json"],
         "e13805d897eaa6c2e9662018e67c40d13bc8f3ef39e566f160d986b95b94b17d",
     ),
+    "construct-10-5-json": (
+        ["fedotov", "construct", "--n", "10", "--k", "5", "--format", "json"],
+        "5cbff8694be4ef6dcc4578b50e968e86dc624ce05f6eeba4c0ed3541aa05de13",
+    ),
     "search-4-2-m4-json": (
         ["fedotov", "search", "--n", "4", "--k", "2", "--m", "4",
          "--trials", "100", "--seed", "7", "--format", "json"],

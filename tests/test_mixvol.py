@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from boxcert.boxes import BoxBody, point, unit_cube
+from boxcert.boxes import BoxBody, point, unit_cube, volume
 from boxcert.mixvol import (
     BodyTuple,
     af_check,
@@ -43,12 +43,54 @@ def test_body_tuple_validation():
         BodyTuple(2, ((unit_cube(2), 0), (unit_cube(2), 2)))
 
 
+def _with_zero_width(rng, box):
+    widths = list(box.widths)
+    widths[rng.randrange(box.n)] = F(0)
+    return BoxBody(box.n, tuple(widths))
+
+
 def test_against_permutation_oracle():
+    # Multiplicities 3, 5, 6 and 7 leave slack in a count field of
+    # bit_length(m) bits, so they are checked on purpose; random draws add
+    # a box repeated in two entries and zero widths.
     rng = random.Random(0)
     for _ in range(40):
         n = rng.randrange(1, 5)
         t = body_tuple(*[random_box(rng, n) for _ in range(n)])
         assert mixed_volume(t) == naive_permanent_mixed_volume(t)
+    for mults in ((3, 4), (5, 2), (6, 1), (7,), (3, 3, 1)):
+        n = sum(mults)
+        entries = tuple((random_box(rng, n), m) for m in mults)
+        t = BodyTuple(n, entries)
+        assert mixed_volume(t) == naive_permanent_mixed_volume(t)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        pool = [random_box(rng, n) for _ in range(2)]
+        entries = []
+        remaining = n
+        while remaining:
+            mult = rng.randrange(1, remaining + 1)
+            box = rng.choice(pool)
+            if rng.random() < 0.3:
+                box = _with_zero_width(rng, box)
+            entries.append((box, mult))
+            remaining -= mult
+        t = BodyTuple(n, tuple(entries))
+        assert mixed_volume(t) == naive_permanent_mixed_volume(t)
+
+
+def test_at_dimension_twelve_against_derivative_path():
+    rng = random.Random(12)
+    a, b, c, k = (random_box(rng, 12) for _ in range(4))
+    for entries in (
+        tuple((random_box(rng, 12), 1) for _ in range(12)),  # the shephard shape
+        ((a, 6), (b, 6)),
+        ((a, 5), (b, 5), (c, 1), (c, 1)),
+        ((k, 12),),
+    ):
+        t = BodyTuple(12, entries)
+        assert mixed_volume(t) == mixed_volume_via_derivatives(t)
+    assert mixed_volume(BodyTuple(12, ((k, 12),))) == volume(k)
 
 
 def test_permutation_symmetry_exhaustive():
