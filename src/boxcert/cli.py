@@ -14,8 +14,9 @@ the handler takes the parsed ``argparse.Namespace`` itself as its
 configuration.
 
 Exit status: 0 success, 1 verification failure, 2 a ``UsageError`` (bad
-flags, a malformed ``mixvol``/``shephard`` input file, or a bound exceeded
-before any work: n <= 12, and m <= 22 for ``shephard``/``fedotov search``);
+flags, a malformed ``mixvol``/``shephard`` input file, an ``--output`` path
+that cannot be written, or a bound exceeded before any work: n <= 12, and
+m <= 22 for ``shephard``/``fedotov search``);
 any other exception is a fault and propagates. Output for a fixed
 command line (including --seed) is byte-identical across runs and
 independent of --threads. ``--trials`` counts instances exactly (1 for
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import comb
 from typing import Optional
@@ -83,6 +85,17 @@ def require_degree_bounds(args: argparse.Namespace) -> None:
     require_dimension(args.n)
 
 
+def require_writable(path: str) -> None:
+    """Open ``path`` before any work, as ``_emit`` will; remove it if new."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _emit(payload: str, args: argparse.Namespace) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -101,7 +114,7 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -271,7 +284,7 @@ def cmd_fedotov_verify(args: argparse.Namespace) -> int:
         cert = load_certificate(args.file)
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, OverflowError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, OverflowError, ValueError, RecursionError) as exc:
         ok, reason = False, f"malformed certificate: {exc}"
         line = f"certificate INVALID: malformed: {exc}"
     else:
@@ -433,6 +446,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise UsageError("--threads must be at least 1")
         if getattr(args, "trials", 0) < 0:
             raise UsageError("--trials must be nonnegative")
+        if args.output:
+            require_writable(args.output)
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -173,20 +173,6 @@ def op_scale(a: SlabOperator, c) -> SlabOperator:
     return SlabOperator(a.n, a.k, {s: c * v for s, v in a.terms.items()})
 
 
-def op_mul(a: SlabOperator, b: SlabOperator) -> SlabOperator:
-    """Operator product, squarefree part (overlapping monomials drop out)."""
-    if a.n != b.n:
-        raise ValueError("operator dimension mismatch")
-    terms: dict[Subset, Rat] = {}
-    for s, cs in a.terms.items():
-        s_set = set(s)
-        for t, ct in b.terms.items():
-            if s_set.isdisjoint(t):
-                u = tuple(sorted(s + t))
-                terms[u] = terms.get(u, Fraction(0)) + cs * ct
-    return SlabOperator(a.n, a.k + b.k, terms)
-
-
 def apply_op(a: SlabOperator, p: SlabPolynomial) -> SlabPolynomial:
     """Formal differentiation: d^S sends s_T to s_{T - S} when S <= T, else 0."""
     if a.n != p.n:
@@ -226,7 +212,8 @@ def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Ra
     """The scalar a * b * prod_i D_{C_i} applied to V.
 
     Degrees must satisfy deg a = deg b = k and 2k + len(c_bodies) = n, so
-    the result is a constant. Symmetric and bilinear in (a, b).
+    the result is a constant. Symmetric and bilinear in (a, b). Only a is
+    applied; b pairs with the coefficients of the degree-k result.
     """
     if a.n != b.n:
         raise ValueError("operator dimension mismatch")
@@ -235,9 +222,8 @@ def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Ra
     n = a.n
     if 2 * a.k + len(c_bodies) != n:
         raise ValueError("body count does not complete the degree to n")
-    p = contract(volume_polynomial(n), c_bodies)
-    result = apply_op(op_mul(a, b), p)
-    return result.constant
+    p = apply_op(a, contract(volume_polynomial(n), c_bodies))
+    return sum((c * p.coeff(s) for s, c in b.terms.items()), Fraction(0))
 
 
 def _union_coefficients(

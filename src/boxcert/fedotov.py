@@ -480,8 +480,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate through the independent evaluation path.
 
     The table over the stored bodies' width classes is recomputed from the
-    widths by the derivative path (the builder extracts coefficients),
-    which differentiates V once per class and then pairs, so each distinct
+    widths by the derivative path (the builder extracts coefficients), which
+    applies each class's k-th power once and then pairs, so each distinct
     entry is evaluated once. Every stored entry M_ij (i <= j, row-major) is
     compared against it, the pairings are re-evaluated on it, the minor
     determinant is recomputed by fraction-free elimination, and the sign

@@ -6,12 +6,12 @@ of n linear forms. ``mixed_volume`` extracts the coefficient exactly, by an
 integer dynamic programme over the coordinates t.
 
 A second, independent evaluation path goes through the volume polynomial:
-V(K_1, ..., K_n) = (1/n!) D_{K_1} ... D_{K_n} V with the derivative
-operators of the diffop module. The two paths cross-check each other
-throughout, and certificate verification uses the derivative path, which
-the builder does not. For a whole table of k-fold entries
-V(A_a[k], A_b[k], C...) it differentiates once per body and then pairs
-(``kfold_via_derivatives``).
+V(K_1[m_1], ..., K_R[m_R]) = (1/n!) D_{K_1}^{m_1} ... D_{K_R}^{m_R} V with
+the derivative operators of the diffop module, each power applied once. The
+two paths cross-check each other throughout, and certificate verification
+uses the derivative path, which the builder does not. For a whole table of
+k-fold entries V(A_a[k], A_b[k], C...) it applies each body's k-th power
+once and then pairs (``kfold_via_derivatives``).
 
 Nothing is cached between calls: callers that need many entries evaluate
 each distinct one once themselves.
@@ -29,7 +29,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .boxes import BoxBody, minkowski_combine
-from .diffop import contract, op_from_box, volume_polynomial
+from .diffop import apply_op, contract, op_from_box, volume_polynomial
 from .exactlin import Rat, integer_row
 
 MAX_DIMENSION = 12
@@ -102,15 +102,14 @@ def mixed_volume(t: BodyTuple) -> Rat:
 
 
 def mixed_volume_via_derivatives(t: BodyTuple) -> Rat:
-    """Exact mixed volume via iterated directional derivatives of V.
+    """Exact mixed volume: each entry's power D_K^m applied to V once.
 
     Independent of the coefficient path. Works on any body tuple; certificate
     verification uses the k-fold table form, ``kfold_via_derivatives``.
     """
     p = volume_polynomial(t.n)
     for box, mult in t.entries:
-        for _ in range(mult):
-            p = contract(p, [box])
+        p = apply_op(op_from_box(box, mult), p)
     return p.constant / factorial(t.n)
 
 
@@ -119,10 +118,10 @@ def kfold_via_derivatives(
 ) -> Callable[[int, int], Rat]:
     """Entries V(A_a[k], A_b[k], C...) over ``bodies`` by the derivative path.
 
-    The prefix q_a = D_{A_a}^k prod_i D_{C_i} V is differentiated once per
-    body, sharing the C-contraction. The entry for (a, b) is the constant
-    term of D_{A_b}^k q_a over n!, that is (1/n!) sum_{|S|=k} q_a[S] times
-    the S-coefficient of (D_{A_b})^k; both coefficient rows are brought to
+    Each body's k-th power D_{A_a}^k is built once and applied once, to the
+    shared C-contraction, giving the prefix q_a = D_{A_a}^k prod_i D_{C_i} V.
+    The entry for (a, b) is (1/n!) sum_{|S|=k} q_a[S] times the
+    S-coefficient of D_{A_b}^k; both coefficient rows are brought to
     integers over one denominator each, so the sum is an integer dot
     product. Returns entry(a, b), indexing ``bodies``.
     """
@@ -134,10 +133,10 @@ def kfold_via_derivatives(
     prefixes = []
     powers = []
     for a in bodies:
-        q = contract(shared, [a] * k).terms
+        power = op_from_box(a, k)
+        q = apply_op(power, shared).terms
         prefixes.append(integer_row([q.get(s, zero) for s in subsets]))
-        power = op_from_box(a, k).terms
-        powers.append(integer_row([power.get(s, zero) for s in subsets]))
+        powers.append(integer_row([power.terms.get(s, zero) for s in subsets]))
     n_fact = factorial(n)
 
     def entry(a: int, b: int) -> Rat:

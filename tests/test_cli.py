@@ -432,3 +432,64 @@ def test_value_error_inside_computation_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr("boxcert.cli.construct_counterexample", fault)
     with pytest.raises(ValueError, match="internal fault"):
         main(["fedotov", "construct", "--n", "4", "--k", "2"])
+
+
+DEEPLY_NESTED = "[" * 100_000
+
+
+def test_verify_deeply_nested_json_is_malformed(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(DEEPLY_NESTED)
+    assert main(["fedotov", "verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("certificate INVALID: malformed: ")
+    assert main(["fedotov", "verify", str(path), "--format", "json"]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["ok"] is False and result["reason"].startswith("malformed certificate: ")
+
+
+@pytest.mark.parametrize("command", [["mixvol"], ["shephard", "--file"]])
+def test_deeply_nested_input_file_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_text(DEEPLY_NESTED)
+    _usage_error(capsys, [*command, str(path)], "is not valid JSON")
+
+
+def test_unwritable_output_checked_before_work(tmp_path, capsys, monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("work started before --output was checked")
+
+    for target in (
+        "boxcert.cli.run_all",
+        "boxcert.cli.construct_counterexample",
+        "boxcert.cli.random_search",
+        "boxcert.cli.load_certificate",
+        "boxcert.cli._load_json",
+        "boxcert.cli.random_instance",
+        "boxcert.cli.primitive_space_basis",
+    ):
+        monkeypatch.setattr(target, refuse)
+    commands = (
+        ["selftest"],
+        ["fedotov", "construct", "--n", "4", "--k", "2"],
+        ["fedotov", "search", "--n", "4", "--k", "2", "--m", "3"],
+        ["fedotov", "verify", str(tmp_path / "cert.json")],
+        ["mixvol", str(tmp_path / "tuple.json")],
+        ["shephard", "--n", "4", "--m", "3"],
+        ["hodge", "primitive", "--n", "4", "--k", "2"],
+    )
+    for output in (tmp_path / "no-such-dir" / "x.txt", tmp_path):
+        for argv in commands:
+            assert main([*argv, "--output", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage error: cannot write ") == 2 * len(commands)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_check_leaves_no_file_behind(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(["fedotov", "construct", "--n", "16", "--k", "2", "--output", str(path)]) == 2
+    assert not path.exists()
+    path.write_text("kept")
+    assert main(["fedotov", "construct", "--n", "16", "--k", "2", "--output", str(path)]) == 2
+    assert path.read_text() == "kept"

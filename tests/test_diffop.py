@@ -19,7 +19,6 @@ from boxcert.diffop import (
     is_primitive,
     op_add,
     op_from_box,
-    op_mul,
     op_scale,
     op_to_json,
     pairing_matrix,
@@ -81,13 +80,6 @@ def test_apply_matches_iterated_single_derivatives():
         assert via_op == step
 
 
-def test_operator_product_is_squarefree():
-    a = SlabOperator(3, 1, {(0,): 1, (1,): 1})
-    b = SlabOperator(3, 1, {(0,): 1, (2,): 1})
-    # the (0,)+(0,) pair overlaps and must drop out
-    assert op_mul(a, b).terms == {(0, 1): F(1), (0, 2): F(1), (1, 2): F(1)}
-
-
 def test_primitive_space_dimension_n4_k2():
     basis = primitive_space_basis(2, unit_cube(4), [])
     assert len(basis) == 2  # C(4,2) - C(4,1)
@@ -145,6 +137,20 @@ def test_hr_form_symmetric_bilinear():
         assert hr_form(a, b, []) == hr_form(b, a, [])
         lhs = hr_form(op_add(a, op_scale(c, F(3, 2))), b, [])
         assert lhs == hr_form(a, b, []) + F(3, 2) * hr_form(c, b, [])
+    # only the first operator is applied, so check both slots under a
+    # nontrivial contraction by non-cube bodies
+    for n, k in ((5, 1), (5, 2), (6, 1), (6, 2)):
+        subsets = list(combinations(range(n), k))
+        for _ in range(4):
+            c_bodies = [random_box(rng, n) for _ in range(n - 2 * k)]
+            a, b, c = (
+                SlabOperator(n, k, {s: F(rng.randrange(-3, 4)) for s in subsets})
+                for _ in range(3)
+            )
+            assert hr_form(a, b, c_bodies) == hr_form(b, a, c_bodies)
+            mixed = op_add(a, op_scale(c, F(3, 2)))
+            expected = hr_form(a, b, c_bodies) + F(3, 2) * hr_form(c, b, c_bodies)
+            assert hr_form(mixed, b, c_bodies) == hr_form(b, mixed, c_bodies) == expected
 
 
 def test_hr_form_degree_mismatch():

@@ -6,10 +6,23 @@ commands' stdout fails here and has to say why the output moved.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from boxcert.cli import main
+from boxcert.fedotov import certificate_to_json, construct_counterexample
+
+# input files written once per module; "{cert_6_3}" and "{tuple}" in an argv
+# name them
+MIXVOL_TUPLE = {
+    "n": 6,
+    "bodies": [
+        {"widths": ["1", "2", "3/2", "1", "5", "2/3"], "multiplicity": 3},
+        {"widths": ["2", "1/2", "1", "4", "1", "3"], "multiplicity": 2},
+        {"widths": ["1", "1", "7/3", "2", "1/5", "1"]},
+    ],
+}
 
 GOLDEN = {
     "construct-4-2-json": (
@@ -28,6 +41,22 @@ GOLDEN = {
     "construct-10-5-json": (
         ["fedotov", "construct", "--n", "10", "--k", "5", "--format", "json"],
         "5cbff8694be4ef6dcc4578b50e968e86dc624ce05f6eeba4c0ed3541aa05de13",
+    ),
+    "verify-6-3": (
+        ["fedotov", "verify", "{cert_6_3}"],
+        "7e5deecda7d12bc3d2cc0e3bb8ee64f9412dfad9ad77c692abf757c9887f8450",
+    ),
+    "verify-6-3-json": (
+        ["fedotov", "verify", "{cert_6_3}", "--format", "json"],
+        "de18f6aebf5d3f369d2fe4470e0c4400e58b293fa242d60ce15c74d3bebb3aa6",
+    ),
+    "mixvol-multiplicities": (
+        ["mixvol", "{tuple}"],
+        "3e3b653ae8ab96124f14bddb1954d6e55c3c9f9d7c700d8ad3db4023e799d351",
+    ),
+    "mixvol-multiplicities-json": (
+        ["mixvol", "{tuple}", "--format", "json"],
+        "497b819cfd23065e790d8ea6ec2918e889e082e181a2ab8e70f471959c921e8e",
     ),
     "search-4-2-m4-json": (
         ["fedotov", "search", "--n", "4", "--k", "2", "--m", "4",
@@ -67,9 +96,18 @@ GOLDEN = {
 }
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    cert, tuple_file = root / "cert-6-3.json", root / "tuple.json"
+    cert.write_text(certificate_to_json(construct_counterexample(6, 3)), encoding="utf-8")
+    tuple_file.write_text(json.dumps(MIXVOL_TUPLE), encoding="utf-8")
+    return {"cert_6_3": str(cert), "tuple": str(tuple_file)}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stdout_matches_golden_digest(name, capsys):
+def test_stdout_matches_golden_digest(name, capsys, inputs):
     argv, digest = GOLDEN[name]
-    assert main(argv) == 0
+    assert main([arg.format(**inputs) for arg in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

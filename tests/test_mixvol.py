@@ -278,6 +278,19 @@ def test_kfold_prefix_pairing_matches_both_paths():
             for b in range(3):
                 t = BodyTuple(n, ((bodies[a], k), (bodies[b], k)) + tail)
                 assert entry(a, b) == mixed_volume(t) == mixed_volume_via_derivatives(t)
+    # n = 2k is the pipeline's shape, where the shared contraction is V itself;
+    # at n = 12, k = 6 and k = 5 with two distinct C bodies
+    cases = [(2 * k, k, 3, 0) for k in range(1, 5)] + [(12, 6, 2, 0), (12, 5, 2, 2)]
+    for n, k, count, c_count in cases:
+        bodies = [random_box(rng, n) for _ in range(count)]
+        c_bodies = [random_box(rng, n) for _ in range(c_count)]
+        assert len(set(c_bodies)) == c_count
+        entry = kfold_via_derivatives(n, bodies, k, c_bodies)
+        tail = tuple((c, 1) for c in c_bodies)
+        for a in range(count):
+            for b in range(count):
+                t = BodyTuple(n, ((bodies[a], k), (bodies[b], k)) + tail)
+                assert entry(a, b) == mixed_volume(t) == mixed_volume_via_derivatives(t)
 
 
 def test_kfold_via_derivatives_validates_bookkeeping():
