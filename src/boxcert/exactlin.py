@@ -5,9 +5,13 @@ positive denominator, gcd(|num|, den) = 1). Matrices are immutable grids of
 such scalars. Everything here is exact; there is no floating point on any
 code path.
 
-Determinants use fraction-free Bareiss elimination over the integers (rows
-are scaled by their denominator lcm first), which keeps intermediate values
-at minor size instead of letting naive fraction arithmetic blow up.
+Determinants use one fraction-free Bareiss loop over the integers
+(``bareiss``): a matrix is scaled once by the lcm D of all its entry
+denominators, so det M = det(D M) / D^n, and every division in the loop is
+exact. Intermediate values stay at minor size instead of letting naive
+fraction arithmetic blow up. Stopped after its first p columns, the same
+loop leaves the bordered minors of the leading p x p block in the trailing
+block; ``hypmat`` builds its principal-minor states from them.
 
 Inertia (the signature of a symmetric matrix) is computed by symmetric
 Gaussian reduction with diagonal pivoting and an exact 2x2 symmetric pivot
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -177,40 +181,50 @@ def integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def det(m: RatMatrix) -> Rat:
-    """Exact determinant via fraction-free Bareiss elimination.
+def integer_matrix(m: RatMatrix) -> tuple[list[list[int]], int]:
+    """(integer rows N, scale D) with N = D * m, D the lcm of all denominators."""
+    den = lcm(*(x.denominator for row in m.entries for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries], den
 
-    Rational input is scaled to an integer matrix row by row; every Bareiss
-    division is exact over the integers.
+
+def bareiss(a: list[list[int]], steps: int) -> int:
+    """Fraction-free elimination of the first ``steps`` columns of ``a``, in place.
+
+    Returns the determinant of the leading steps x steps block, 0 when it is
+    singular (``a`` is then left part-eliminated). Pivots are taken from
+    the first ``steps`` rows only, and a swap negates one of the two rows, so
+    every minor containing all of those rows keeps its value. When the
+    block is nonsingular, a[i][l] for i, l >= steps ends as the bordered
+    minor det a[0..steps-1 + i, 0..steps-1 + l] (Sylvester's identity); with
+    steps = len(a) the return value is det a. Every division is exact.
     """
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    scaled = [integer_row(row) for row in m.entries]
-    a, scale = [z for z, _ in scaled], prod(d for _, d in scaled)
-    sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(steps):
         if a[k][k] == 0:
-            for r in range(k + 1, n):
+            for r in range(k + 1, steps):
                 if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
+                    a[k], a[r] = a[r], [-x for x in a[k]]
                     break
             else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
+                return 0
+        ak = a[k]
+        pivot = ak[k]
+        for i in range(k + 1, len(a)):
             ai = a[i]
-            ak = a[k]
-            for j in range(k + 1, n):
+            aik = ai[k]
+            for j in range(k + 1, len(ak)):
                 ai[j] = (ai[j] * pivot - aik * ak[j]) // prev
             ai[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return prev
+
+
+def det(m: RatMatrix) -> Rat:
+    """Exact determinant: ``bareiss`` on m scaled once to integers."""
+    if not m.is_square:
+        raise ValueError("determinant requires a square matrix")
+    rows, den = integer_matrix(m)
+    return Fraction(bareiss(rows, m.rows), den**m.rows)
 
 
 def inertia(m: RatMatrix) -> Inertia:

@@ -53,6 +53,7 @@ from .hypmat import (
     class_matrix,
     find_violation,
     sylvester_violation,
+    violates_sign,
     witness_pairings,
 )
 from .mixvol import (
@@ -134,7 +135,9 @@ def build_matrix(
     """Assemble M_ij = V(K_i[k], K_j[k], C...) exactly.
 
     One coefficient-path mixed volume per distinct pair of width classes;
-    every entry of a class pair shares that value.
+    every entry of a class pair shares that value. Auxiliary bodies of one
+    width class enter as one (body, count) entry, so n - 2k equal cubes
+    cost the DP n - 2k + 1 states, not 2^(n - 2k).
     """
     bodies = tuple(bodies)
     c_bodies = tuple(c_bodies)
@@ -146,7 +149,8 @@ def build_matrix(
             f"dimension bookkeeping failed: 2*{k} + {len(c_bodies)} != {n}"
         )
     reps, classes = width_classes(bodies)
-    tail = tuple((c, 1) for c in c_bodies)
+    c_reps, c_classes = width_classes(c_bodies)
+    tail = tuple((c, c_classes.count(i)) for i, c in enumerate(c_reps))
     table = _symmetric_table(
         len(reps),
         lambda a, b: mixed_volume(BodyTuple(n, ((reps[a], k), (reps[b], k)) + tail)),
@@ -177,7 +181,7 @@ def shephard_verify(fm: FedotovMatrix) -> ShephardReport:
     value = Fraction(1)  # the full set comes last; det of a 0x0 matrix is 1
     for subset, value in _principal_minors(fm.matrix):
         checked += 1
-        if (-1) ** len(subset) * value > 0:
+        if violates_sign(subset, value):
             violations.append(Violation(subset, value))
     return ShephardReport(not violations, checked, tuple(violations), value)
 

@@ -28,17 +28,27 @@ from typing import Iterator, Optional, Sequence
 from .exactlin import (
     Rat,
     RatMatrix,
+    bareiss,
     det,
     dot,
     inertia,
+    integer_matrix,
     nullspace_basis,
     principal_submatrix,
+    rank,
     rat_to_str,
 )
 
 # 2^22 subsets is the largest enumeration we are willing to run blind;
-# larger matrices must be shrunk to a core first.
+# larger matrices must be shrunk to a core first. Below the rank a subset
+# costs at most m^2 integer updates of its parent's state; above the rank it
+# costs only its place in the order.
 SUBSET_ENUMERATION_CAP = 22
+
+
+def violates_sign(subset: Sequence[int], value: Rat) -> bool:
+    """(-1)^|I| det M_I > 0, read off the sign of the numerator."""
+    return value.numerator < 0 if len(subset) % 2 else value.numerator > 0
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,7 @@ class Violation:
 
     def __post_init__(self):
         object.__setattr__(self, "subset", tuple(sorted(self.subset)))
-        if (-1) ** len(self.subset) * self.det_value <= 0:
+        if not violates_sign(self.subset, self.det_value):
             raise ValueError("subset does not witness a sign violation")
 
     def to_json(self) -> dict:
@@ -103,11 +113,38 @@ def is_hyperbolic(m: RatMatrix) -> bool:
     return inertia(m).n_pos == 1
 
 
+def _bordered_minors(
+    rows: Sequence[Sequence[int]], subset: Sequence[int], border: Sequence[int]
+) -> tuple[int, Optional[list[list[int]]]]:
+    """(det N_S, B) by one fresh Bareiss elimination of rows S + border.
+
+    B[i][l - i] = det N[S + border[i], S + border[l]] for l >= i, the upper
+    triangle of a symmetric block; B is None when det N_S = 0.
+    """
+    idx = [*subset, *border]
+    a = [[rows[r][c] for c in idx] for r in idx]
+    p = len(subset)
+    value = bareiss(a, p)
+    if value == 0:
+        return 0, None
+    return value, [row[p + i :] for i, row in enumerate(a[p:])]
+
+
 def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
-    """(I, det M_I) for every nonempty principal subset I of a square matrix.
+    """(I, det M_I) for every nonempty principal subset I of a symmetric matrix.
 
     Subsets come smallest-first, lexicographically within a size, so the
     last one is the full index set.
+
+    M is scaled once to N = D M. A nonsingular subset I keeps a state, the
+    bordered minors b_il = det N[I + i, I + l] for max I < i <= l (the
+    matrix b is symmetric). Its children I + j come next to each other in
+    the next size level, in order: det N_{I+j} = b_jj, and by Sylvester's
+    identity the child's own state is b'_il = (b_jj b_il - b_ji b_jl) /
+    det N_I, an exact integer division. Children of a singular subset get
+    a fresh Bareiss elimination instead. Only one level of states is kept.
+    Every subset larger than rank M has minor 0 and is not eliminated at
+    all.
     """
     size = m.rows
     if size > SUBSET_ENUMERATION_CAP:
@@ -115,9 +152,44 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
             f"dimension {size} exceeds the exhaustive minor enumeration cap "
             f"{SUBSET_ENUMERATION_CAP}"
         )
-    for card in range(1, size + 1):
+    if not m.is_symmetric:
+        raise ValueError("matrix must be symmetric")
+    rows, den = integer_matrix(m)
+    top = rank(m)
+    # (I, det N_I, its state or None); the empty set's state is N's upper triangle
+    level: list = [((), 1, [row[i:] for i, row in enumerate(rows)])]
+    for card in range(1, top + 1):
+        scale = den**card
+        last = card == top
+        following = []
+        for pos, (subset, value, state) in enumerate(level):
+            level[pos] = None  # each state is read once; let it go
+            first = subset[-1] + 1 if subset else 0
+            for j in range(first, size):
+                child = (*subset, j)
+                if state is None:
+                    child_value, child_state = _bordered_minors(
+                        rows, child, () if last else range(j + 1, size)
+                    )
+                else:
+                    # row t of a state holds b_tl for l >= t, from b_tt on
+                    t = j - first
+                    row_t = state[t]
+                    child_value, child_state = row_t[0], None
+                    if child_value and not last:
+                        child_state = [
+                            [(child_value * b_il - row_t[i] * b_tl) // value
+                             for b_il, b_tl in zip(b_i, row_t[i:])]
+                            for i, b_i in enumerate(state[t + 1 :], 1)
+                        ]
+                yield child, Fraction(child_value, scale)
+                if not last:
+                    following.append((child, child_value, child_state))
+        level = following
+    zero = Fraction(0)
+    for card in range(top + 1, size + 1):
         for subset in combinations(range(size), card):
-            yield subset, det(principal_submatrix(m, subset))
+            yield subset, zero
 
 
 def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
@@ -129,7 +201,7 @@ def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     """
     _require_symmetric_positive(m)
     for subset, value in _principal_minors(m):
-        if (-1) ** len(subset) * value > 0:
+        if violates_sign(subset, value):
             return Violation(subset, value)
     return None
 

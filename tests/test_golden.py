@@ -7,14 +7,16 @@ commands' stdout fails here and has to say why the output moved.
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from boxcert.cli import main
 from boxcert.fedotov import certificate_to_json, construct_counterexample
 
-# input files written once per module; "{cert_6_3}" and "{tuple}" in an argv
-# name them
+# input files written once per module; "{cert_6_3}", "{tuple}" and
+# "{shephard}" in an argv name them
 MIXVOL_TUPLE = {
     "n": 6,
     "bodies": [
@@ -23,6 +25,18 @@ MIXVOL_TUPLE = {
         {"widths": ["1", "1", "7/3", "2", "1/5", "1"]},
     ],
 }
+
+
+def shephard_instance() -> dict:
+    """A fixed k = 1 instance: n = 12, m = 13 bodies, widths p/q, p <= 16, q <= 4."""
+    rng = random.Random("golden:shephard")
+
+    def body() -> dict:
+        return {"widths": [str(Fraction(rng.randint(1, 16), rng.randint(1, 4))) for _ in range(12)]}
+
+    bodies = [body() for _ in range(13)]
+    return {"n": 12, "bodies": bodies, "c_bodies": [body() for _ in range(10)]}
+
 
 GOLDEN = {
     "construct-4-2-json": (
@@ -77,6 +91,20 @@ GOLDEN = {
          "--format", "json"],
         "54ce7f296dd417126d0bef931bbaf92b3560c5c5aa0a3894525ffbbb08906e0c",
     ),
+    # 8,191 minors on a 12-dimensional instance with 13 distinct bodies
+    "shephard-file-12-13": (
+        ["shephard", "--file", "{shephard}"],
+        "e993d8325ebea08f507f25c1845661aab6113ba603c728da289b2e53e84df389",
+    ),
+    "shephard-file-12-13-json": (
+        ["shephard", "--file", "{shephard}", "--format", "json"],
+        "d0690380f0ed44bccd2c932370ed8f3bfa01c108ef049a918e6609873e769b53",
+    ),
+    # 65,535 minors; the 26,332 above size n = 8 vanish, since the rank is at most n
+    "shephard-8-16": (
+        ["shephard", "--n", "8", "--m", "16", "--seed", "1"],
+        "dbd88557bd61609ab3cc1186e95f01e8477f6cb0c2db66175aa1faaa79ad13ab",
+    ),
     "hodge-primitive-4-2": (
         ["hodge", "primitive", "--n", "4", "--k", "2"],
         "79c8cca078c8facae1478c1a6903e261549c36b07b669bec41c81374455acc58",
@@ -100,9 +128,11 @@ GOLDEN = {
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     cert, tuple_file = root / "cert-6-3.json", root / "tuple.json"
+    shephard = root / "shephard-12-13.json"
     cert.write_text(certificate_to_json(construct_counterexample(6, 3)), encoding="utf-8")
     tuple_file.write_text(json.dumps(MIXVOL_TUPLE), encoding="utf-8")
-    return {"cert_6_3": str(cert), "tuple": str(tuple_file)}
+    shephard.write_text(json.dumps(shephard_instance()), encoding="utf-8")
+    return {"cert_6_3": str(cert), "tuple": str(tuple_file), "shephard": str(shephard)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -79,10 +79,42 @@ def test_sylvester_prefers_smallest_then_lexicographic():
     assert violation.subset == (0, 1)
 
 
-def test_principal_minors_order_and_values():
+def _low_rank(rng, size, rank):
+    """W W^T for an integer size x rank matrix W: every minor above rank is 0."""
+    w = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(size)]
+    return RatMatrix([[dot(u, v) for v in w] for u in w])
+
+
+def _minor_test_matrices():
     rng = random.Random(2)
-    for size in range(1, 6):
-        m = random_symmetric_positive(rng, size)
+    matrices = [random_symmetric_positive(rng, size) for size in range(1, 6)]
+    matrices += [_low_rank(rng, size, rank) for size in (3, 5, 7) for rank in (1, 2, 3)]
+    # singular leading blocks and zero diagonals
+    matrices += [
+        RatMatrix([[0, 1], [1, 0]]),
+        RatMatrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]]),
+        RatMatrix([[1, 1, 2, 0], [1, 1, 3, 1], [2, 3, 5, 2], [0, 1, 2, 0]]),
+        RatMatrix([[0] * 4 for _ in range(4)]),
+    ]
+    # repeated rows (and so repeated columns)
+    for size in (4, 6):
+        base = random_symmetric_positive(rng, size)
+        idx = list(range(size - 1)) + [1]
+        matrices.append(RatMatrix([[base[i, j] for j in idx] for i in idx]))
+    # rational entries with several denominators
+    pool = [F(p, q) for p in range(-5, 6) for q in (1, 2, 3, 7)]
+    for size in (3, 5, 7):
+        rows = [[F(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                rows[i][j] = rows[j][i] = rng.choice(pool)
+        matrices.append(RatMatrix(rows))
+    return matrices
+
+
+def test_principal_minors_order_and_values():
+    for m in _minor_test_matrices():
+        size = m.rows
         minors = list(_principal_minors(m))
         subsets = [subset for subset, _ in minors]
         assert len(subsets) == 2 ** size - 1
@@ -90,6 +122,26 @@ def test_principal_minors_order_and_values():
         assert subsets[-1] == tuple(range(size))
         for subset, value in minors:
             assert value == det(principal_submatrix(m, subset))
+
+
+def test_principal_minors_require_symmetric():
+    with pytest.raises(ValueError):
+        list(_principal_minors(RatMatrix([[1, 2], [3, 1]])))
+
+
+def test_principal_minors_vanish_above_dimension():
+    # a k = 1 matrix has rank at most n, so with m > n every minor above n is 0
+    rng = random.Random(5)
+    n, m = 3, 6
+    bodies = [random_box(rng, n) for _ in range(m)]
+    matrix = build_matrix(bodies, 1, [random_box(rng, n)]).matrix
+    minors = list(_principal_minors(matrix))
+    assert len(minors) == 2**m - 1
+    for subset, value in minors:
+        assert value == det(principal_submatrix(matrix, subset))
+        if len(subset) > n:
+            assert value == 0
+    assert any(value != 0 for subset, value in minors if len(subset) == n)
 
 
 def test_sylvester_dimension_cap():
