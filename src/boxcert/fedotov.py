@@ -11,6 +11,12 @@ matrices, runs the pipeline at k = 2, lifts it to any k > 2 by double
 polarization, hunts for direct violations at random, and independently
 re-verifies emitted certificates through the derivative evaluation path.
 
+A matrix is built as its table over width classes in one integer pass:
+every entry shares the auxiliary bodies C, so their permanent on every
+column set is computed once, and each class's products over the k-subsets
+of coordinates once; an entry is then a dot product. The builder calls
+neither the coordinate DP of the mixvol module nor the derivative path.
+
 All certification arithmetic is exact.
 """
 
@@ -21,8 +27,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product, repeat
 from math import factorial
+from operator import add, lshift, mul
 from typing import Callable, Optional, Sequence
 
 from .boxes import BoxBody, box_from_widths, minkowski_combine, unit_cube
@@ -39,6 +46,7 @@ from .exactlin import (
     Rat,
     RatMatrix,
     det,
+    integer_row,
     json_int,
     json_list,
     principal_submatrix,
@@ -56,12 +64,7 @@ from .hypmat import (
     violates_sign,
     witness_pairings,
 )
-from .mixvol import (
-    MAX_DIMENSION,
-    BodyTuple,
-    kfold_via_derivatives,
-    mixed_volume,
-)
+from .mixvol import MAX_DIMENSION, kfold_via_derivatives
 
 CERTIFICATE_VERSION = 1
 
@@ -127,6 +130,90 @@ def _symmetric_table(size: int, entry: Callable[[int, int], Rat]) -> RatMatrix:
     return RatMatrix(rows)
 
 
+def _kfold_table(
+    n: int, reps: Sequence[BoxBody], k: int, c_bodies: Sequence[BoxBody]
+) -> RatMatrix:
+    """The table V(A_a[k], A_b[k], C...) over ``reps``, one integer pass per matrix.
+
+    With every width row scaled to integers, the coefficient behind entry
+    (a, b) is the sum over disjoint k-sets S, T of coordinates of
+    e_a[S] e_b[T] P[[n] - S - T], where e_a[S] = prod_{t in S} a_t and P[U]
+    is the permanent of the C rows on the columns U. P comes from one DP over
+    the C rows with the used columns as state (a width class of mu equal rows
+    picks mu columns at once, times mu!), shared by every entry. Then
+    q_a[T] = sum over S disjoint from T of e_a[S] P[[n] - S - T] is one pass
+    over (S, T) lists built once, and the entry is
+    (k!)^2 <q_a, e_b> / (n! den_C den_a^k den_b^k).
+
+    Every integer here is nonnegative, so the classes ride side by side in
+    one Python integer, a slot each, wide enough for the largest dot
+    product: the pass over (S, T) serves every class at once, and each
+    table column is one dot product.
+    """
+    bit = [1 << t for t in range(n)]
+    full = (1 << n) - 1
+    c_reps, c_classes = width_classes(c_bodies)
+    permanents = {0: 1}
+    c_den, scale = 1, factorial(k) ** 2
+    for i, c in enumerate(c_reps):
+        mu = c_classes.count(i)
+        row, d = integer_row(c.widths)
+        c_den *= d**mu
+        scale *= factorial(mu)
+        following: dict[int, int] = {}
+        get = following.get
+        for used, value in permanents.items():
+            for cols in combinations([t for t in range(n) if not used & bit[t]], mu):
+                target, product = used, value
+                for t in cols:
+                    target |= bit[t]
+                    product *= row[t]
+                following[target] = get(target, 0) + product
+        permanents = following
+    # e_a over the j-subsets for j = 1..k, each product from its parent
+    # subset without the last column
+    steps = []
+    index: dict[tuple[int, ...], int] = {(): 0}
+    for j in range(1, k + 1):
+        level = list(combinations(range(n), j))
+        steps.append([(index[s[:-1]], s[-1]) for s in level])
+        index = {s: i for i, s in enumerate(level)}
+    e_rows, dens = [], []
+    for a in reps:
+        widths, d = integer_row(a.widths)
+        e = [1]
+        for parents in steps:
+            e = [e[p] * widths[t] for p, t in parents]
+        e_rows.append(e)
+        dens.append(d**k)
+    # per k-set T: the k-sets S disjoint from it, and P[[n] - S - T] for each
+    masks = [sum(bit[t] for t in s) for s in index]
+    pairs = []
+    for t_mask in masks:
+        free = [t for t in range(n) if not t_mask & bit[t]]
+        disjoint = [index[s] for s in combinations(free, k)]
+        pairs.append((disjoint, [permanents[full ^ t_mask ^ masks[i]] for i in disjoint]))
+    # q_a[T] <= top * max P * (S per T), and a table sum has one term per T
+    top = max(map(max, e_rows))
+    bound = top * max(permanents.values()) * len(pairs[0][0]) * len(pairs) * top
+    width = bound.bit_length() // 8 + 1  # bytes per slot
+    packed = [0] * len(masks)
+    for a, e in enumerate(e_rows):
+        packed = list(map(add, packed, map(lshift, e, repeat(8 * width * a))))
+    q = [sum(map(mul, map(packed.__getitem__, disjoint), values)) for disjoint, values in pairs]
+    columns = []
+    for e in e_rows:
+        raw = sum(map(mul, e, q)).to_bytes(width * len(reps), "little")
+        columns.append(
+            [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+        )
+    den = factorial(n) * c_den
+    return _symmetric_table(
+        len(reps),
+        lambda a, b: Fraction(scale * columns[b][a], den * dens[a] * dens[b]),
+    )
+
+
 def build_matrix(
     bodies: Sequence[BoxBody],
     k: int,
@@ -134,10 +221,10 @@ def build_matrix(
 ) -> FedotovMatrix:
     """Assemble M_ij = V(K_i[k], K_j[k], C...) exactly.
 
-    One coefficient-path mixed volume per distinct pair of width classes;
-    every entry of a class pair shares that value. Auxiliary bodies of one
-    width class enter as one (body, count) entry, so n - 2k equal cubes
-    cost the DP n - 2k + 1 states, not 2^(n - 2k).
+    One entry per distinct pair of width classes, every entry of a class
+    pair sharing that value; the whole class table comes from one integer
+    evaluation that shares the C bodies' column permanents and each class's
+    k-subset products across the matrix (``_kfold_table``).
     """
     bodies = tuple(bodies)
     c_bodies = tuple(c_bodies)
@@ -148,13 +235,10 @@ def build_matrix(
         raise ValueError(
             f"dimension bookkeeping failed: 2*{k} + {len(c_bodies)} != {n}"
         )
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds the supported envelope")
     reps, classes = width_classes(bodies)
-    c_reps, c_classes = width_classes(c_bodies)
-    tail = tuple((c, c_classes.count(i)) for i, c in enumerate(c_reps))
-    table = _symmetric_table(
-        len(reps),
-        lambda a, b: mixed_volume(BodyTuple(n, ((reps[a], k), (reps[b], k)) + tail)),
-    )
+    table = _kfold_table(n, reps, k, c_bodies)
     return FedotovMatrix(n, k, bodies, c_bodies, tuple(classes), table)
 
 
@@ -484,9 +568,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate through the independent evaluation path.
 
     The table over the stored bodies' width classes is recomputed from the
-    widths by the derivative path (the builder extracts coefficients), which
-    applies each class's k-th power once and then pairs, so each distinct
-    entry is evaluated once. Every stored entry M_ij (i <= j, row-major) is
+    widths by the derivative path (the builder's integer table shares no
+    code with it), which applies each class's k-th power once and then
+    pairs, so each distinct entry is evaluated once. Every stored entry M_ij (i <= j, row-major) is
     compared against it, the pairings are re-evaluated on it, the minor
     determinant is recomputed by fraction-free elimination, and the sign
     condition is confirmed. Bounds are checked before any arithmetic.

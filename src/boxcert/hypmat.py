@@ -142,7 +142,9 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
     the next size level, in order: det N_{I+j} = b_jj, and by Sylvester's
     identity the child's own state is b'_il = (b_jj b_il - b_ji b_jl) /
     det N_I, an exact integer division. Children of a singular subset get
-    a fresh Bareiss elimination instead. Only one level of states is kept.
+    a fresh Bareiss elimination instead. Only one level of states is kept,
+    and the level before the last keeps only the diagonals
+    b'_ii = (b_jj b_ii - b_ji^2) / det N_I, all the last level reads.
     Every subset larger than rank M has minor 0 and is not eliminated at
     all.
     """
@@ -156,27 +158,39 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
         raise ValueError("matrix must be symmetric")
     rows, den = integer_matrix(m)
     top = rank(m)
-    # (I, det N_I, its state or None); the empty set's state is N's upper triangle
-    level: list = [((), 1, [row[i:] for i, row in enumerate(rows)])]
+    # (I, det N_I, its state or None); row t of a state holds b_tl for
+    # l >= t, from b_tt on. The last level reads only det N_{I+j} = b_jj, so
+    # the states kept for it are the diagonals alone.
+    triangle = [row[i:] for i, row in enumerate(rows)]
+    level: list = [((), 1, [b_t[0] for b_t in triangle] if top == 1 else triangle)]
     for card in range(1, top + 1):
         scale = den**card
         last = card == top
+        diagonal = card == top - 1
         following = []
         for pos, (subset, value, state) in enumerate(level):
             level[pos] = None  # each state is read once; let it go
             first = subset[-1] + 1 if subset else 0
             for j in range(first, size):
                 child = (*subset, j)
+                t = j - first
                 if state is None:
                     child_value, child_state = _bordered_minors(
                         rows, child, () if last else range(j + 1, size)
                     )
+                    if diagonal and child_state is not None:
+                        child_state = [b_i[0] for b_i in child_state]
+                elif last:
+                    child_value, child_state = state[t], None
                 else:
-                    # row t of a state holds b_tl for l >= t, from b_tt on
-                    t = j - first
                     row_t = state[t]
                     child_value, child_state = row_t[0], None
-                    if child_value and not last:
+                    if child_value and diagonal:
+                        child_state = [
+                            (child_value * b_i[0] - b_ti * b_ti) // value
+                            for b_i, b_ti in zip(state[t + 1 :], row_t[1:])
+                        ]
+                    elif child_value:
                         child_state = [
                             [(child_value * b_il - row_t[i] * b_tl) // value
                              for b_il, b_tl in zip(b_i, row_t[i:])]

@@ -3,15 +3,18 @@
 For boxes vol(sum_r lambda_r K_r) = prod_t sum_r lambda_r w_{r,t}, so
 V(K_1[m_1], ..., K_R[m_R]) = (prod_r m_r! / n!) [lambda^m] of that product
 of n linear forms. ``mixed_volume`` extracts the coefficient exactly, by an
-integer dynamic programme over the coordinates t.
+integer dynamic programme over the coordinates t. It is the evaluator for
+single entries (the ``mixvol`` command, the Alexandrov-Fenchel checks, the
+self-tests); a whole k-fold matrix, whose entries share their auxiliary
+bodies, is built by its own table evaluation in the fedotov module.
 
 A second, independent evaluation path goes through the volume polynomial:
 V(K_1[m_1], ..., K_R[m_R]) = (1/n!) D_{K_1}^{m_1} ... D_{K_R}^{m_R} V with
 the derivative operators of the diffop module, each power applied once. The
 two paths cross-check each other throughout, and certificate verification
-uses the derivative path, which the builder does not. For a whole table of
-k-fold entries V(A_a[k], A_b[k], C...) it applies each body's k-th power
-once and then pairs (``kfold_via_derivatives``).
+uses the derivative path, which the matrix builder does not. For a whole
+table of k-fold entries V(A_a[k], A_b[k], C...) it applies each body's k-th
+power once and then pairs (``kfold_via_derivatives``).
 
 Nothing is cached between calls: callers that need many entries evaluate
 each distinct one once themselves.

@@ -26,7 +26,7 @@ from boxcert.fedotov import (
 )
 from boxcert.hypmat import is_hyperbolic, sylvester_violation
 from boxcert.mixvol import BodyTuple, mixed_volume
-from boxcert.selftest import random_box
+from boxcert.selftest import naive_permanent_mixed_volume, random_box
 
 
 def test_build_matrix_homothets_rank_one():
@@ -81,6 +81,80 @@ def test_build_matrix_repeated_widths_match_reference():
             for j, b in enumerate(bodies):
                 t = BodyTuple(n, ((a, k), (b, k)) + tail)
                 assert fm.matrix[i, j] == mixed_volume(t)
+
+
+def _entrywise_table(fm, oracle=mixed_volume):
+    """The class table of ``fm`` again, one oracle call per class pair."""
+    reps, _ = width_classes(fm.bodies)
+    tail = tuple((c, 1) for c in fm.c_bodies)
+    return [
+        [oracle(BodyTuple(fm.n, ((a, fm.k), (b, fm.k)) + tail)) for b in reps]
+        for a in reps
+    ]
+
+
+def _mixed_box(rng, n, pool):
+    return BoxBody(n, tuple(rng.choice(pool) for _ in range(n)))
+
+
+def test_build_matrix_table_matches_entrywise_mixed_volume():
+    # widths over denominators 1..7, zero included, so rows scale by
+    # different factors; every k with 2k <= n, for n <= 7
+    rng = random.Random(11)
+    pool = [F(p, q) for p in range(0, 9) for q in (1, 2, 3, 4, 5, 7)]
+    positive = [w for w in pool if w]
+    for n in range(2, 8):
+        for k in range(1, n // 2 + 1):
+            r = n - 2 * k
+            c = _mixed_box(rng, n, positive)
+            shapes = (
+                [_mixed_box(rng, n, positive) for _ in range(r)],
+                [c] * r,
+                [c if i % 3 else _mixed_box(rng, n, positive) for i in range(r)],
+            )
+            for c_bodies in shapes:
+                bodies = [_mixed_box(rng, n, pool) for _ in range(3)] + [unit_cube(n)]
+                fm = build_matrix(bodies, k, c_bodies)
+                expected = _entrywise_table(fm)
+                assert [list(row) for row in fm.table.entries] == expected
+                if n <= 6:
+                    assert _entrywise_table(fm, naive_permanent_mixed_volume) == expected
+
+
+def test_build_matrix_table_matches_entrywise_at_dimension_12():
+    # the perfbench shephard instance (13 bodies, 10 distinct C bodies) and
+    # a k = 2 search instance (12 bodies, 8 distinct C bodies)
+    rng = random.Random("perfbench:shephard:1")
+
+    def box():
+        return BoxBody(12, tuple(F(rng.randint(1, 16), rng.randint(1, 4)) for _ in range(12)))
+
+    bodies = [box() for _ in range(13)]
+    search_bodies, search_c_bodies = random_instance(12, 2, 12, 1, 0)
+    instances = [(bodies, 1, [box() for _ in range(10)]), (search_bodies, 2, search_c_bodies)]
+    for bodies, k, c_bodies in instances:
+        fm = build_matrix(bodies, k, c_bodies)
+        assert [list(row) for row in fm.table.entries] == _entrywise_table(fm)
+
+
+def test_build_matrix_shares_no_code_with_the_verifier(monkeypatch):
+    # the builder's table is its own evaluation: neither the coordinate DP
+    # nor any part of the derivative path runs
+    rng = random.Random(12)
+    cases = [
+        ([random_box(rng, 6) for _ in range(4)], 1, [random_box(rng, 6) for _ in range(4)]),
+        ([random_box(rng, 7) for _ in range(3)], 2, [unit_cube(7)] * 3),
+        ([random_box(rng, 8) for _ in range(3)], 4, []),
+    ]
+    expected = [build_matrix(*case).table for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_matrix called a verifier or DP routine")
+
+    for module in ("mixvol", "diffop", "fedotov"):
+        for name in ("mixed_volume", "kfold_via_derivatives", "apply_op", "op_from_box", "contract"):
+            monkeypatch.setattr(f"boxcert.{module}.{name}", forbidden, raising=False)
+    assert [build_matrix(*case).table for case in cases] == expected
 
 
 def test_shephard_verify_single_body():

@@ -82,6 +82,12 @@ GOLDEN = {
          "--trials", "100", "--seed", "7"],
         "2d462ea1e1e42c828a8b18c8688924ff9077ae3727abb4a5e7c527e9e7e8198f",
     ),
+    # a k = 2 violation found and verified at trial 0, on 12 bodies with 8 distinct C bodies
+    "search-12-2-m12-json": (
+        ["fedotov", "search", "--n", "12", "--k", "2", "--m", "12",
+         "--trials", "3", "--seed", "1", "--format", "json"],
+        "d054ef2f085ff1ba611c51ab77b75fdd5c74bc4151d73333d147e873f55ef93f",
+    ),
     "shephard-5-5": (
         ["shephard", "--n", "5", "--m", "5", "--seed", "1", "--trials", "3"],
         "3af477df9ec9b050f39af1bc5ccffffd32cbbf343ea65c22391af726a7a4ccd1",
@@ -104,6 +110,11 @@ GOLDEN = {
     "shephard-8-16": (
         ["shephard", "--n", "8", "--m", "16", "--seed", "1"],
         "dbd88557bd61609ab3cc1186e95f01e8477f6cb0c2db66175aa1faaa79ad13ab",
+    ),
+    # 16,383 minors of a k = 1 matrix with 10 distinct C bodies
+    "shephard-12-14-json": (
+        ["shephard", "--n", "12", "--m", "14", "--seed", "1", "--format", "json"],
+        "ab22f9d7dfd5ba6e464f681e6f7cf0c067312a9d0b523902442baf41adf345b8",
     ),
     "hodge-primitive-4-2": (
         ["hodge", "primitive", "--n", "4", "--k", "2"],

@@ -96,6 +96,16 @@ def _minor_test_matrices():
         RatMatrix([[1, 1, 2, 0], [1, 1, 3, 1], [2, 3, 5, 2], [0, 1, 2, 0]]),
         RatMatrix([[0] * 4 for _ in range(4)]),
     ]
+    # W D W^T, D indefinite, with a singular subset two below the rank whose
+    # children are not: M_00 = 0 at rank 3, and M_{01} = [[1, 1], [1, 1]] at rank 4
+    extra = random.Random(3)
+    cases = (((1, -1, 1), [[1, 1, 0]]), ((1, -1, 1, 1), [[1, 0, 0, 0], [1, 1, 1, 0]]))
+    for signs, lead in cases:
+        rest = 2 * len(signs) - 1 - len(lead)
+        w = lead + [[extra.randint(-3, 3) for _ in signs] for _ in range(rest)]
+        matrices.append(RatMatrix([
+            [sum(d * a * b for d, a, b in zip(signs, u, v)) for v in w] for u in w
+        ]))
     # repeated rows (and so repeated columns)
     for size in (4, 6):
         base = random_symmetric_positive(rng, size)
