@@ -9,7 +9,7 @@ squares of box derivatives, vectors x, y >= 0 with <x, My> = 0 and
 <x, Mx> > 0, which is impossible for a hyperbolic matrix. This module builds those
 matrices, runs the pipeline at k = 2, lifts it to any k > 2 by double
 polarization, hunts for direct violations at random, and independently
-re-verifies emitted certificates through the derivative evaluation path.
+re-verifies emitted certificates with the coordinate DP of the mixvol module.
 
 A matrix is built as its table over width classes in one integer pass:
 every entry shares the auxiliary bodies C, so their permanent on every
@@ -26,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product, repeat
 from math import factorial
 from operator import add, lshift, mul
@@ -52,7 +52,6 @@ from .exactlin import (
     principal_submatrix,
     rat_from_str,
     rat_to_str,
-    rats_from_json,
 )
 from .hypmat import (
     SUBSET_ENUMERATION_CAP,
@@ -64,7 +63,7 @@ from .hypmat import (
     violates_sign,
     witness_pairings,
 )
-from .mixvol import MAX_DIMENSION, kfold_via_derivatives
+from .mixvol import MAX_DIMENSION, BodyTuple, mixed_volume
 
 CERTIFICATE_VERSION = 1
 
@@ -568,12 +567,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate through the independent evaluation path.
 
     The table over the stored bodies' width classes is recomputed from the
-    widths by the derivative path (the builder's integer table shares no
-    code with it), which applies each class's k-th power once and then
-    pairs, so each distinct entry is evaluated once. Every stored entry M_ij (i <= j, row-major) is
-    compared against it, the pairings are re-evaluated on it, the minor
-    determinant is recomputed by fraction-free elimination, and the sign
-    condition is confirmed. Bounds are checked before any arithmetic.
+    widths by the coordinate DP of the mixvol module (the builder's integer
+    table shares no code with it), one ``mixed_volume`` per class pair, with
+    the auxiliary bodies grouped by width class. Every stored entry M_ij is
+    compared against it; the matrix is symmetric and positive exactly when it
+    matches a positive table. The pairings are re-evaluated on the table, the
+    minor determinant is recomputed by fraction-free elimination, and the
+    sign condition is confirmed. Bounds are checked before any arithmetic.
     """
 
     def fail(reason: str) -> VerificationReport:
@@ -598,18 +598,27 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             return fail("body dimension mismatch")
         if not box.is_nondegenerate:
             return fail("degenerate body in certificate")
-    if not cert.matrix.is_symmetric:
-        return fail("matrix is not symmetric")
-    if not cert.matrix.is_positive:
-        return fail("matrix is not entrywise positive")
     reps, classes = width_classes(cert.bodies)
-    table = _symmetric_table(len(reps), kfold_via_derivatives(n, reps, k, cert.c_bodies))
+    c_reps, c_classes = width_classes(cert.c_bodies)
+    tail = tuple((c, c_classes.count(r)) for r, c in enumerate(c_reps))
+
+    def entry(a: int, b: int) -> Rat:
+        pair = ((reps[a], 2 * k),) if a == b else ((reps[a], k), (reps[b], k))
+        return mixed_volume(BodyTuple(n, pair + tail))
+
+    table = _symmetric_table(len(reps), entry)
+    expected_rows = [tuple(row[c] for c in classes) for row in table.entries]
     for i, row in enumerate(cert.matrix.entries):
-        recomputed_row = table.entries[classes[i]]
-        for j in range(i, size):
-            recomputed = recomputed_row[classes[j]]
-            if recomputed != row[j]:
-                return fail(f"matrix entry ({i},{j}) is {row[j]}, recomputed {recomputed}")
+        expected = expected_rows[classes[i]]
+        if row != expected:
+            if not cert.matrix.is_symmetric:
+                return fail("matrix is not symmetric")
+            if not cert.matrix.is_positive:
+                return fail("matrix is not entrywise positive")
+            j = next(j for j in range(size) if row[j] != expected[j])
+            return fail(f"matrix entry ({i},{j}) is {row[j]}, recomputed {expected[j]}")
+    if not table.is_positive:
+        return fail("matrix is not entrywise positive")
     if cert.x or cert.y:
         if len(cert.x) != size or len(cert.y) != size:
             return fail("witness vector dimension mismatch")
@@ -678,33 +687,49 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate; every array field must be a JSON list."""
+    """Parse a certificate; every array field must be a JSON list.
+
+    A v1 matrix repeats a few hundred distinct values up to m^2 times, so
+    each distinct rational string is parsed once; any other value goes to
+    ``rat_from_str`` as it is, which rejects it. ``m`` must count the bodies
+    and ``kind`` must name the one claim v1 makes.
+    """
     data = json.loads(text)
     n = json_int(data["n"], "n")
+    parse_once = cache(rat_from_str)
+
+    def rat_of(value) -> Rat:
+        return parse_once(value) if type(value) is str else rat_from_str(value)
+
+    def rats(value, what: str) -> tuple[Rat, ...]:
+        return tuple(map(rat_of, json_list(value, what)))
 
     def boxes(key: str) -> tuple[BoxBody, ...]:
         return tuple(box_from_widths(n, ws) for ws in json_list(data[key], key))
 
-    return Certificate(
+    cert = Certificate(
         n=n,
         k=json_int(data["k"], "k"),
         labels=tuple(_label_from_json(l) for l in json_list(data["labels"], "labels")),
         bodies=boxes("bodies"),
         c_bodies=boxes("c_bodies"),
-        x=rats_from_json(data["x"], "x"),
-        y=rats_from_json(data["y"], "y"),
-        pair_xy=None if data["pair_xy"] is None else rat_from_str(data["pair_xy"]),
-        pair_xx=None if data["pair_xx"] is None else rat_from_str(data["pair_xx"]),
-        matrix=RatMatrix(
-            rats_from_json(row, "matrix row") for row in json_list(data["matrix"], "matrix")
-        ),
+        x=rats(data["x"], "x"),
+        y=rats(data["y"], "y"),
+        pair_xy=None if data["pair_xy"] is None else rat_of(data["pair_xy"]),
+        pair_xx=None if data["pair_xx"] is None else rat_of(data["pair_xx"]),
+        matrix=RatMatrix(rats(row, "matrix row") for row in json_list(data["matrix"], "matrix")),
         subset=tuple(
             json_int(i, "subset entry") for i in json_list(data["subset"], "subset")
         ),
-        subset_det=rat_from_str(data["subset_det"]),
+        subset_det=rat_of(data["subset_det"]),
         trace=data["trace"],
         version=json_int(data["version"], "version"),
     )
+    if json_int(data["m"], "m") != len(cert.bodies):
+        raise ValueError(f"m is {data['m']}, but the certificate has {len(cert.bodies)} bodies")
+    if data["kind"] != "minor-sign-violation":
+        raise ValueError(f"kind must be \"minor-sign-violation\", got {data['kind']!r}")
+    return cert
 
 
 def save_certificate(cert: Certificate, path) -> None:

@@ -5,16 +5,15 @@ V(K_1[m_1], ..., K_R[m_R]) = (prod_r m_r! / n!) [lambda^m] of that product
 of n linear forms. ``mixed_volume`` extracts the coefficient exactly, by an
 integer dynamic programme over the coordinates t. It is the evaluator for
 single entries (the ``mixvol`` command, the Alexandrov-Fenchel checks, the
-self-tests); a whole k-fold matrix, whose entries share their auxiliary
-bodies, is built by its own table evaluation in the fedotov module.
+self-tests) and for certificate verification, one call per class pair. A
+whole k-fold matrix, whose entries share their auxiliary bodies, is built by
+its own table evaluation in the fedotov module, which calls nothing here.
 
 A second, independent evaluation path goes through the volume polynomial:
 V(K_1[m_1], ..., K_R[m_R]) = (1/n!) D_{K_1}^{m_1} ... D_{K_R}^{m_R} V with
 the derivative operators of the diffop module, each power applied once. The
-two paths cross-check each other throughout, and certificate verification
-uses the derivative path, which the matrix builder does not. For a whole
-table of k-fold entries V(A_a[k], A_b[k], C...) it applies each body's k-th
-power once and then pairs (``kfold_via_derivatives``).
+two paths cross-check each other in the ``mixvol`` command and the
+self-tests.
 
 Nothing is cached between calls: callers that need many entries evaluate
 each distinct one once themselves.
@@ -26,13 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import factorial
-from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .boxes import BoxBody, minkowski_combine
-from .diffop import apply_op, contract, op_from_box, volume_polynomial
+from .diffop import apply_op, op_from_box, volume_polynomial
 from .exactlin import Rat, integer_row
 
 MAX_DIMENSION = 12
@@ -107,47 +105,12 @@ def mixed_volume(t: BodyTuple) -> Rat:
 def mixed_volume_via_derivatives(t: BodyTuple) -> Rat:
     """Exact mixed volume: each entry's power D_K^m applied to V once.
 
-    Independent of the coefficient path. Works on any body tuple; certificate
-    verification uses the k-fold table form, ``kfold_via_derivatives``.
+    Independent of the coefficient path; works on any body tuple.
     """
     p = volume_polynomial(t.n)
     for box, mult in t.entries:
         p = apply_op(op_from_box(box, mult), p)
     return p.constant / factorial(t.n)
-
-
-def kfold_via_derivatives(
-    n: int, bodies: Sequence[BoxBody], k: int, c_bodies: Sequence[BoxBody]
-) -> Callable[[int, int], Rat]:
-    """Entries V(A_a[k], A_b[k], C...) over ``bodies`` by the derivative path.
-
-    Each body's k-th power D_{A_a}^k is built once and applied once, to the
-    shared C-contraction, giving the prefix q_a = D_{A_a}^k prod_i D_{C_i} V.
-    The entry for (a, b) is (1/n!) sum_{|S|=k} q_a[S] times the
-    S-coefficient of D_{A_b}^k; both coefficient rows are brought to
-    integers over one denominator each, so the sum is an integer dot
-    product. Returns entry(a, b), indexing ``bodies``.
-    """
-    if k < 1 or 2 * k + len(c_bodies) != n:
-        raise ValueError(f"dimension bookkeeping failed: 2*{k} + {len(c_bodies)} != {n}")
-    subsets = list(combinations(range(n), k))
-    zero = Fraction(0)
-    shared = contract(volume_polynomial(n), c_bodies)
-    prefixes = []
-    powers = []
-    for a in bodies:
-        power = op_from_box(a, k)
-        q = apply_op(power, shared).terms
-        prefixes.append(integer_row([q.get(s, zero) for s in subsets]))
-        powers.append(integer_row([power.terms.get(s, zero) for s in subsets]))
-    n_fact = factorial(n)
-
-    def entry(a: int, b: int) -> Rat:
-        q, q_den = prefixes[a]
-        p, p_den = powers[b]
-        return Fraction(sum(map(mul, q, p)), q_den * p_den * n_fact)
-
-    return entry
 
 
 def af_check(

@@ -239,12 +239,16 @@ def _verify_data(tmp_path, data, *flags):
         ("pair_xx", "1/0"),
         ("matrix", [["1e400"]]),
         ("bodies", [["1e400", "1", "1", "1"]]),
+        ("m", 1.5),
+        ("m", 12),
+        ("kind", -1),
     ],
     ids=[
         "bodies-int", "matrix-null", "version-list", "subset-string", "bodies-row",
         "subset-float", "n-string", "k-bool", "label-float", "entry-zero-denominator",
         "width-zero-denominator", "subset-det-zero-denominator", "x-zero-denominator",
-        "pair-xx-zero-denominator", "entry-exponent", "width-exponent",
+        "pair-xx-zero-denominator", "entry-exponent", "width-exponent", "m-float",
+        "m-count", "kind-int",
     ],
 )
 def test_verify_malformed_field_exits_1(tmp_path, capsys, cert_n4_data, field, value):

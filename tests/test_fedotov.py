@@ -152,7 +152,7 @@ def test_build_matrix_shares_no_code_with_the_verifier(monkeypatch):
         raise AssertionError("build_matrix called a verifier or DP routine")
 
     for module in ("mixvol", "diffop", "fedotov"):
-        for name in ("mixed_volume", "kfold_via_derivatives", "apply_op", "op_from_box", "contract"):
+        for name in ("mixed_volume", "apply_op", "op_from_box", "contract"):
             monkeypatch.setattr(f"boxcert.{module}.{name}", forbidden, raising=False)
     assert [build_matrix(*case).table for case in cases] == expected
 
@@ -331,6 +331,36 @@ def test_verify_rejects_tampered_entry():
     assert not report.ok and "entry" in report.reason
 
 
+def _tampered(cert, changes):
+    """``cert`` through JSON with matrix[i][j] = value for each (i, j, value)."""
+    data = json.loads(certificate_to_json(cert))
+    for i, j, value in changes:
+        data["matrix"][i][j] = value
+    return certificate_from_json(json.dumps(data))
+
+
+def test_verify_rejects_asymmetric_matrix():
+    cert = construct_counterexample_k2(4)
+    report = verify_certificate(_tampered(cert, [(0, 1, "9999")]))
+    assert (report.ok, report.reason) == (False, "matrix is not symmetric")
+
+
+def test_verify_rejects_nonpositive_matrix():
+    cert = construct_counterexample_k2(4)
+    report = verify_certificate(_tampered(cert, [(0, 1, "-1"), (1, 0, "-1")]))
+    assert (report.ok, report.reason) == (False, "matrix is not entrywise positive")
+
+
+def test_verify_asymmetry_outranks_an_earlier_entry_mismatch():
+    # (0, 0) differs from the table first in row-major order, but a stored
+    # matrix that is not symmetric is reported as such
+    cert = construct_counterexample_k2(4)
+    report = verify_certificate(_tampered(cert, [(0, 0, "9999"), (5, 7, "9999")]))
+    assert (report.ok, report.reason) == (False, "matrix is not symmetric")
+    report = verify_certificate(_tampered(cert, [(0, 0, "9999"), (7, 5, "-1"), (5, 7, "-1")]))
+    assert (report.ok, report.reason) == (False, "matrix is not entrywise positive")
+
+
 @pytest.fixture(scope="module")
 def reduction_n6_k3():
     return reduce_to_general_k(pipeline_base_k2(6), 3)
@@ -357,6 +387,40 @@ def test_verify_checks_every_entry_of_a_repeated_class(reduction_n6_k3):
     report = verify_certificate(certificate_from_json(json.dumps(data)))
     assert not report.ok
     assert report.reason.startswith(f"matrix entry ({i},{j}) is 9999, recomputed ")
+
+
+def test_verify_certificate_shares_no_code_with_the_builder(monkeypatch, reduction_n6_k3):
+    # the verifier's table is the coordinate DP's: neither the builder's
+    # integer table nor build_matrix runs
+    cert_n4 = construct_counterexample_k2(4)
+    certs = [cert_n4, reduction_n6_k3, _tampered(cert_n4, [(2, 3, "9999"), (3, 2, "9999")])]
+    expected = [verify_certificate(cert) for cert in certs]
+    assert [report.ok for report in expected] == [True, True, False]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_certificate called the matrix builder")
+
+    for name in ("_kfold_table", "build_matrix"):
+        monkeypatch.setattr(f"boxcert.fedotov.{name}", forbidden)
+    assert [verify_certificate(cert) for cert in certs] == expected
+
+
+def test_certificate_with_noncanonical_strings_verifies():
+    # "2/4" and "3/1" are the canonical "1/2" and "3" written out longhand
+    cert = construct_counterexample_k2(4)
+    text = certificate_to_json(cert)
+    data = json.loads(text)
+
+    def longhand(value):
+        num, _, den = value.partition("/")
+        return f"{2 * int(num)}/{2 * int(den or 1)}"
+
+    data["matrix"] = [[longhand(v) for v in row] for row in data["matrix"]]
+    data["x"] = [longhand(v) for v in data["x"]]
+    data["subset_det"] = longhand(data["subset_det"])
+    loaded = certificate_from_json(json.dumps(data))
+    assert verify_certificate(loaded).ok
+    assert certificate_to_json(loaded) == text
 
 
 def test_verify_rejects_wrong_subset():

@@ -5,12 +5,13 @@ from itertools import permutations
 import pytest
 
 from boxcert.boxes import BoxBody, point, unit_cube, volume
+from boxcert.exactlin import RatMatrix
+from boxcert.fedotov import Certificate, build_matrix, verify_certificate
 from boxcert.mixvol import (
     BodyTuple,
     af_check,
     body_tuple,
     iterated_af_check,
-    kfold_via_derivatives,
     mixed_volume,
     mixed_volume_via_derivatives,
     polarization_identity_check,
@@ -265,6 +266,20 @@ def test_nonnegative_with_degenerate_bodies():
             assert value > 0
 
 
+def _verifier_reason(n, bodies, k, c_bodies):
+    """``verify_certificate`` on the matrix ``build_matrix`` gives these bodies.
+
+    The certificate claims no minor, so a verifier whose table equals the
+    builder's on every entry stops at "empty violating subset".
+    """
+    fm = build_matrix(bodies, k, c_bodies)
+    cert = Certificate(
+        n=n, k=k, labels=tuple(range(fm.m)), bodies=fm.bodies, c_bodies=fm.c_bodies,
+        x=(), y=(), pair_xy=None, pair_xx=None, matrix=fm.matrix, subset=(), subset_det=F(0),
+    )
+    return verify_certificate(cert).reason
+
+
 def test_kfold_prefix_pairing_matches_both_paths():
     rng = random.Random(11)
     for _ in range(30):
@@ -272,12 +287,12 @@ def test_kfold_prefix_pairing_matches_both_paths():
         k = rng.randrange(1, (n + 1) // 2)  # leaves at least one C body
         bodies = [random_box(rng, n) for _ in range(3)]
         c_bodies = [random_box(rng, n) for _ in range(n - 2 * k)]
-        entry = kfold_via_derivatives(n, bodies, k, c_bodies)
         tail = tuple((c, 1) for c in c_bodies)
         for a in range(3):
             for b in range(3):
                 t = BodyTuple(n, ((bodies[a], k), (bodies[b], k)) + tail)
-                assert entry(a, b) == mixed_volume(t) == mixed_volume_via_derivatives(t)
+                assert mixed_volume(t) == mixed_volume_via_derivatives(t)
+        assert _verifier_reason(n, bodies, k, c_bodies) == "empty violating subset"
     # n = 2k is the pipeline's shape, where the shared contraction is V itself;
     # at n = 12, k = 6 and k = 5 with two distinct C bodies
     cases = [(2 * k, k, 3, 0) for k in range(1, 5)] + [(12, 6, 2, 0), (12, 5, 2, 2)]
@@ -285,14 +300,20 @@ def test_kfold_prefix_pairing_matches_both_paths():
         bodies = [random_box(rng, n) for _ in range(count)]
         c_bodies = [random_box(rng, n) for _ in range(c_count)]
         assert len(set(c_bodies)) == c_count
-        entry = kfold_via_derivatives(n, bodies, k, c_bodies)
         tail = tuple((c, 1) for c in c_bodies)
         for a in range(count):
             for b in range(count):
                 t = BodyTuple(n, ((bodies[a], k), (bodies[b], k)) + tail)
-                assert entry(a, b) == mixed_volume(t) == mixed_volume_via_derivatives(t)
+                assert mixed_volume(t) == mixed_volume_via_derivatives(t)
+        assert _verifier_reason(n, bodies, k, c_bodies) == "empty violating subset"
 
 
-def test_kfold_via_derivatives_validates_bookkeeping():
+def test_kfold_bookkeeping_is_validated():
+    cube = unit_cube(4)
     with pytest.raises(ValueError):
-        kfold_via_derivatives(4, [unit_cube(4)], 2, [unit_cube(4)])
+        BodyTuple(4, ((cube, 2), (cube, 2), (cube, 1)))
+    cert = Certificate(
+        n=4, k=2, labels=(0,), bodies=(cube,), c_bodies=(cube,), x=(), y=(),
+        pair_xy=None, pair_xx=None, matrix=RatMatrix([[1]]), subset=(0,), subset_det=F(1),
+    )
+    assert verify_certificate(cert).reason == "auxiliary body count does not match n - 2k"
