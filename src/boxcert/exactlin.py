@@ -13,9 +13,14 @@ fraction arithmetic blow up. Stopped after its first p columns, the same
 loop leaves the bordered minors of the leading p x p block in the trailing
 block; ``hypmat`` builds its principal-minor states from them.
 
-Inertia (the signature of a symmetric matrix) is computed by symmetric
-Gaussian reduction with diagonal pivoting and an exact 2x2 symmetric pivot
-for the all-zero-diagonal case, then read off via Sylvester's law.
+Inertia (the signature of a symmetric matrix) runs the same fraction-free
+step on the same integer scaling, with symmetric pivots: a nonzero diagonal
+entry swapped to the front in its row and its column. The k-th pivot is the
+leading minor D_k, so the k-th LDL^T pivot D_k / D_{k-1} has the sign of
+D_k D_{k-1}, and Sylvester's law of inertia reads the signature off those
+signs. A trailing block with a zero diagonal but a nonzero entry a_ij first
+gets row and column j added to row and column i, a unimodular congruence
+that keeps every division exact and makes a_ii = 2 a_ij.
 """
 
 from __future__ import annotations
@@ -187,6 +192,24 @@ def integer_matrix(m: RatMatrix) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries], den
 
 
+def _eliminate(a: list[list[int]], k: int, prev: int) -> int:
+    """One fraction-free step on the pivot a[k][k]; returns the pivot.
+
+    Every row below k is updated past column k by
+    a[i][j] = (a[i][j] a[k][k] - a[i][k] a[k][j]) / prev, an exact division
+    when prev is the previous step's pivot, and its column k is set to 0.
+    """
+    ak = a[k]
+    pivot = ak[k]
+    for i in range(k + 1, len(a)):
+        ai = a[i]
+        aik = ai[k]
+        for j in range(k + 1, len(ak)):
+            ai[j] = (ai[j] * pivot - aik * ak[j]) // prev
+        ai[k] = 0
+    return pivot
+
+
 def bareiss(a: list[list[int]], steps: int) -> int:
     """Fraction-free elimination of the first ``steps`` columns of ``a``, in place.
 
@@ -207,15 +230,7 @@ def bareiss(a: list[list[int]], steps: int) -> int:
                     break
             else:
                 return 0
-        ak = a[k]
-        pivot = ak[k]
-        for i in range(k + 1, len(a)):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, len(ak)):
-                ai[j] = (ai[j] * pivot - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = pivot
+        prev = _eliminate(a, k, prev)
     return prev
 
 
@@ -230,61 +245,37 @@ def det(m: RatMatrix) -> Rat:
 def inertia(m: RatMatrix) -> Inertia:
     """Exact (n_pos, n_neg, n_zero) of a symmetric matrix.
 
-    Symmetric Gaussian reduction with diagonal pivoting; when every
-    remaining diagonal entry is zero but the block is not, a 2x2 symmetric
-    pivot [[0, a], [a, 0]] is split off, contributing (1, 1, 0). Correctness
-    rests on Sylvester's law of inertia: all reductions used here are
-    congruences.
+    ``_eliminate`` with symmetric pivots (see the module docstring), until
+    the trailing block is zero; its size is n_zero.
     """
     if not m.is_symmetric:
         raise ValueError("inertia requires a symmetric matrix")
-    a = m.to_lists()
-    live = list(range(m.rows))
-    n_pos = n_neg = n_zero = 0
-    while live:
-        pivot = next((p for p in live if a[p][p] != 0), None)
-        if pivot is not None:
-            d = a[pivot][pivot]
-            if d > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            live.remove(pivot)
-            # One-sided row elimination suffices: the pivot column of each
-            # updated row becomes 0, so the transposed side of the congruence
-            # A -> E A E^T does nothing more on the remaining block, and
-            # A[r][c] - A[r][p]A[p][c]/d is already symmetric.
-            for r in live:
-                if a[r][pivot] == 0:
-                    continue
-                f = a[r][pivot] / d
-                ar, ap = a[r], a[pivot]
-                for c in live:
-                    ar[c] -= f * ap[c]
-            continue
-        off = next(
-            ((i, j) for i in live for j in live if j > i and a[i][j] != 0), None
-        )
-        if off is None:
-            n_zero += len(live)
-            break
-        # All remaining diagonal entries vanish: split off the block
-        # [[0, d], [d, 0]], congruent to diag(d, -d).
-        i, j = off
-        d = a[i][j]
-        n_pos += 1
-        n_neg += 1
-        live.remove(i)
-        live.remove(j)
-        for r in live:
-            u, v = a[r][i], a[r][j]
-            if u == 0 and v == 0:
-                continue
-            fi, fj = v / d, u / d
-            ar, ai, aj = a[r], a[i], a[j]
-            for c in live:
-                ar[c] -= fi * ai[c] + fj * aj[c]
-    return Inertia(n_pos, n_neg, n_zero)
+    a, _ = integer_matrix(m)
+    size = len(a)
+    n_pos = n_neg = 0
+    prev = 1
+    for k in range(size):
+        p = next((p for p in range(k, size) if a[p][p]), None)
+        if p is None:
+            # rows from k on are 0 left of column k; by symmetry, the first
+            # nonzero row has its first nonzero right of its zero diagonal
+            p = next((i for i in range(k, size) if any(a[i])), None)
+            if p is None:
+                break
+            j = next(j for j, x in enumerate(a[p]) if x)
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a[k:]:
+                row[p] += row[j]
+        a[k], a[p] = a[p], a[k]
+        for row in a[k:]:
+            row[k], row[p] = row[p], row[k]
+        pivot = _eliminate(a, k, prev)
+        if (pivot > 0) == (prev > 0):
+            n_pos += 1
+        else:
+            n_neg += 1
+        prev = pivot
+    return Inertia(n_pos, n_neg, size - n_pos - n_neg)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:

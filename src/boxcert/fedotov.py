@@ -254,19 +254,21 @@ class ShephardReport:
 def shephard_verify(fm: FedotovMatrix) -> ShephardReport:
     """Assert (-1)^|I| det M_I <= 0 for every principal subset (k = 1 only).
 
-    A violation in the report indicates an implementation bug: for box
-    inputs the k = 1 matrix is always hyperbolic.
+    All 2^m - 1 subsets are checked: ``_principal_minors`` yields those up to
+    the rank, and every larger one has minor 0, which satisfies the sign
+    condition. ``determinant`` is det M, the full set's minor when the rank
+    is m and 0 otherwise. A violation in the report indicates an
+    implementation bug: for box inputs the k = 1 matrix is always hyperbolic.
     """
     if fm.k != 1:
         raise ValueError("shephard_verify applies to k = 1 matrices")
     violations = []
-    checked = 0
-    value = Fraction(1)  # the full set comes last; det of a 0x0 matrix is 1
+    subset, value = (), Fraction(1)  # det of a 0x0 matrix is 1
     for subset, value in _principal_minors(fm.matrix):
-        checked += 1
         if violates_sign(subset, value):
             violations.append(Violation(subset, value))
-    return ShephardReport(not violations, checked, tuple(violations), value)
+    determinant = value if len(subset) == fm.m else Fraction(0)
+    return ShephardReport(not violations, 2**fm.m - 1, tuple(violations), determinant)
 
 
 @dataclass(frozen=True)
@@ -662,7 +664,15 @@ def _label_from_json(data):
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """Canonical structured-text form; round-trips bit-exactly."""
+    """Canonical structured-text form; round-trips bit-exactly.
+
+    Matrix entries are shared objects (``class_matrix`` indexes one table,
+    the loader parses each distinct string once), so each distinct object is
+    formatted once, keyed by ``id``; keying by value would hash in Python.
+    """
+    entries = cert.matrix.entries
+    distinct = {id(v): v for row in entries for v in row}
+    text = {key: rat_to_str(v) for key, v in distinct.items()}
     payload = {
         "version": cert.version,
         "kind": "minor-sign-violation",
@@ -676,9 +686,7 @@ def certificate_to_json(cert: Certificate) -> str:
         "y": [rat_to_str(v) for v in cert.y],
         "pair_xy": None if cert.pair_xy is None else rat_to_str(cert.pair_xy),
         "pair_xx": None if cert.pair_xx is None else rat_to_str(cert.pair_xx),
-        "matrix": [
-            [rat_to_str(v) for v in row] for row in cert.matrix.entries
-        ],
+        "matrix": [[text[id(v)] for v in row] for row in entries],
         "subset": list(cert.subset),
         "subset_det": rat_to_str(cert.subset_det),
         "trace": cert.trace,

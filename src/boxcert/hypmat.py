@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .exactlin import (
@@ -35,14 +34,13 @@ from .exactlin import (
     integer_matrix,
     nullspace_basis,
     principal_submatrix,
-    rank,
     rat_to_str,
 )
 
 # 2^22 subsets is the largest enumeration we are willing to run blind;
-# larger matrices must be shrunk to a core first. Below the rank a subset
-# costs at most m^2 integer updates of its parent's state; above the rank it
-# costs only its place in the order.
+# larger matrices must be shrunk to a core first. A subset up to the rank
+# costs at most m^2 integer updates of its parent's state; the subsets above
+# the rank have minor 0 and are never generated.
 SUBSET_ENUMERATION_CAP = 22
 
 
@@ -131,10 +129,12 @@ def _bordered_minors(
 
 
 def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
-    """(I, det M_I) for every nonempty principal subset I of a symmetric matrix.
+    """(I, det M_I) for every nonempty principal subset I with |I| <= rank M.
 
-    Subsets come smallest-first, lexicographically within a size, so the
-    last one is the full index set.
+    The rank is n_pos + n_neg of the exact ``inertia``. Every larger subset
+    has minor 0 and is not yielded, so the full index set comes last exactly
+    when M is nonsingular. Subsets come smallest-first, lexicographically
+    within a size.
 
     M is scaled once to N = D M. A nonsingular subset I keeps a state, the
     bordered minors b_il = det N[I + i, I + l] for max I < i <= l (the
@@ -145,8 +145,6 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
     a fresh Bareiss elimination instead. Only one level of states is kept,
     and the level before the last keeps only the diagonals
     b'_ii = (b_jj b_ii - b_ji^2) / det N_I, all the last level reads.
-    Every subset larger than rank M has minor 0 and is not eliminated at
-    all.
     """
     size = m.rows
     if size > SUBSET_ENUMERATION_CAP:
@@ -154,10 +152,9 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
             f"dimension {size} exceeds the exhaustive minor enumeration cap "
             f"{SUBSET_ENUMERATION_CAP}"
         )
-    if not m.is_symmetric:
-        raise ValueError("matrix must be symmetric")
+    signature = inertia(m)  # rejects a matrix that is not symmetric
+    top = signature.n_pos + signature.n_neg
     rows, den = integer_matrix(m)
-    top = rank(m)
     # (I, det N_I, its state or None); row t of a state holds b_tl for
     # l >= t, from b_tt on. The last level reads only det N_{I+j} = b_jj, so
     # the states kept for it are the diagonals alone.
@@ -200,18 +197,15 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
                 if not last:
                     following.append((child, child_value, child_state))
         level = following
-    zero = Fraction(0)
-    for card in range(top + 1, size + 1):
-        for subset in combinations(range(size), card):
-            yield subset, zero
 
 
 def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     """First principal subset with (-1)^|I| det M_I > 0, or None.
 
     Subsets are scanned smallest-first, lexicographically within a size, so
-    the returned witness is deterministic. None is returned exactly when
-    the matrix is hyperbolic.
+    the returned witness is deterministic; those above the rank have minor 0
+    and are not scanned. None is returned exactly when the matrix is
+    hyperbolic.
     """
     _require_symmetric_positive(m)
     for subset, value in _principal_minors(m):

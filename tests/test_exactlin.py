@@ -130,6 +130,42 @@ def char_poly_inertia(m):
     return Inertia(n_pos, n - n_pos - n_zero, n_zero)
 
 
+def zero_diagonal_matrices():
+    """Symmetric matrices whose elimination meets an all-zero trailing diagonal.
+
+    On these, ``inertia`` adds a row and column to another to make a pivot.
+    Each hand-made matrix also comes scaled by a diagonal congruence with
+    denominators 2, 3 and 7, and random zero-diagonal matrices follow.
+    """
+    fixed = [
+        [[0, 1], [1, 0]],
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        # one ordinary pivot, then the trailing block [[0, 1], [1, 0]]
+        [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
+        # singular: the same after the ordinary pivot, with a zero remainder
+        [[1, 1, 1, 2], [1, 1, 2, 2], [1, 2, 1, 3], [2, 2, 3, 4]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, 1, 1], [1, 0, 0], [1, 0, 0]],
+        [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, -3], [0, 0, -3, 0]],
+    ]
+    matrices = [RatMatrix(rows) for rows in fixed]
+    scales = (F(1, 2), F(3), F(2, 3), F(-3, 7))
+    for rows in fixed:
+        s = [scales[i % len(scales)] for i in range(len(rows))]
+        matrices.append(RatMatrix([[s[i] * x * s[j] for j, x in enumerate(row)]
+                                   for i, row in enumerate(rows)]))
+    rng = random.Random(31)
+    pool = [F(p, q) for p in range(-3, 4) for q in (1, 2, 3, 7)]
+    for _ in range(30):
+        dim = rng.randrange(2, 7)
+        rows = [[F(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                rows[i][j] = rows[j][i] = rng.choice(pool)
+        matrices.append(RatMatrix(rows))
+    return matrices
+
+
 def test_inertia_against_char_poly_oracle():
     rng = random.Random(23)
     for _ in range(80):
@@ -140,6 +176,15 @@ def test_inertia_against_char_poly_oracle():
                 rows[i][j] = rows[j][i] = F(rng.randrange(-3, 4), rng.randrange(1, 3))
         m = RatMatrix(rows)
         assert inertia(m) == char_poly_inertia(m)
+    for m in zero_diagonal_matrices():
+        assert inertia(m) == char_poly_inertia(m)
+
+
+def _random_nonsingular(rng, dim):
+    while True:
+        a = random_rational_matrix(rng, dim, dim)
+        if det(a) != 0:
+            return a
 
 
 def test_inertia_congruence_invariant():
@@ -147,12 +192,24 @@ def test_inertia_congruence_invariant():
     for _ in range(40):
         dim = rng.randrange(1, 7)
         m = random_symmetric_positive(rng, dim)
-        while True:
-            a = random_rational_matrix(rng, dim, dim)
-            if det(a) != 0:
-                break
+        a = _random_nonsingular(rng, dim)
         congruent = a.transpose().matmul(m).matmul(a)
         assert inertia(congruent) == inertia(m)
+    for m in zero_diagonal_matrices():
+        a = _random_nonsingular(rng, m.rows)
+        congruent = a.transpose().matmul(m).matmul(a)
+        assert inertia(congruent) == inertia(m)
+
+
+def _assert_det_sign_relation(m):
+    ine = inertia(m)
+    d = det(m)
+    assert ine.n_pos + ine.n_neg + ine.n_zero == m.rows
+    if ine.n_zero == 0:
+        assert (d > 0) == (ine.n_neg % 2 == 0)
+        assert d != 0
+    else:
+        assert d == 0
 
 
 def test_inertia_det_sign_relation():
@@ -164,15 +221,9 @@ def test_inertia_det_sign_relation():
         for i in range(dim):
             for j in range(i, dim):
                 rows[i][j] = rows[j][i] = F(rng.randrange(-4, 5), rng.randrange(1, 4))
-        m = RatMatrix(rows)
-        ine = inertia(m)
-        d = det(m)
-        assert ine.n_pos + ine.n_neg + ine.n_zero == dim
-        if ine.n_zero == 0:
-            assert (d > 0) == (ine.n_neg % 2 == 0)
-            assert d != 0
-        else:
-            assert d == 0
+        _assert_det_sign_relation(RatMatrix(rows))
+    for m in zero_diagonal_matrices():
+        _assert_det_sign_relation(m)
 
 
 def test_nullspace_rank_one():

@@ -1,11 +1,13 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from boxcert.boxes import BoxBody, unit_cube
-from boxcert.exactlin import det, dot, principal_submatrix, rank
+from boxcert.exactlin import RatMatrix, det, dot, principal_submatrix, rank
 from boxcert.fedotov import (
     Certificate,
     build_matrix,
@@ -24,7 +26,7 @@ from boxcert.fedotov import (
     verify_certificate,
     width_classes,
 )
-from boxcert.hypmat import is_hyperbolic, sylvester_violation
+from boxcert.hypmat import Violation, is_hyperbolic, sylvester_violation, violates_sign
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import naive_permanent_mixed_volume, random_box
 
@@ -190,6 +192,42 @@ def test_shephard_verify_homothety_singular():
     k = BoxBody(3, (1, 2, 3))
     report = shephard_verify(build_matrix([k, k.scale(3)], 1, [unit_cube(3)]))
     assert report.ok and report.determinant == 0
+
+
+def _brute_force_shephard(matrix):
+    """(subsets, det M, violations) from ``det`` on every principal subset."""
+    size = matrix.rows
+    minors = [
+        (subset, det(principal_submatrix(matrix, subset)))
+        for card in range(1, size + 1)
+        for subset in combinations(range(size), card)
+    ]
+    violations = tuple(Violation(s, v) for s, v in minors if violates_sign(s, v))
+    return len(minors), minors[-1][1], violations
+
+
+def test_shephard_verify_matches_brute_force():
+    rng = random.Random(21)
+    deficient = build_matrix([random_box(rng, 3) for _ in range(6)], 1, [random_box(rng, 3)])
+    full = build_matrix([random_box(rng, 5) for _ in range(4)], 1, [random_box(rng, 5) for _ in range(3)])
+    assert rank(deficient.matrix) == 3 < deficient.m
+    assert rank(full.matrix) == full.m
+    # the report depends on the matrix alone: a table with three positive
+    # eigenvalues on classes (0, 1, 0, 2, 1) gives violations at rank 3 < 5
+    a, b, c = (random_box(rng, 3) for _ in range(3))
+    planted = replace(
+        build_matrix([a, b, a, c, b], 1, [random_box(rng, 3)]),
+        table=RatMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
+    )
+    assert rank(planted.matrix) == 3
+    for fm in (deficient, full, planted):
+        report = shephard_verify(fm)
+        checked, determinant, violations = _brute_force_shephard(fm.matrix)
+        assert report.subsets_checked == checked == 2**fm.m - 1
+        assert report.determinant == determinant
+        assert report.violations == violations
+        assert report.ok == (not violations)
+    assert shephard_verify(planted).violations
 
 
 def test_shephard_verify_requires_k1():

@@ -1,12 +1,14 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from boxcert.boxes import BoxBody, unit_cube
-from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix
-from boxcert.fedotov import build_matrix, pipeline_base_k2, reduce_to_general_k
+from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix, rank
+from boxcert.fedotov import build_matrix, pipeline_base_k2, reduce_to_general_k, shephard_verify
 from boxcert.hypmat import (
     SUBSET_ENUMERATION_CAP,
     Violation,
@@ -122,16 +124,29 @@ def _minor_test_matrices():
     return matrices
 
 
+def _subsets_up_to(size, top):
+    """Nonempty subsets of range(size) with at most ``top`` elements, in order."""
+    return [s for card in range(1, top + 1) for s in combinations(range(size), card)]
+
+
+def _assert_zero_above(m, top):
+    """det M_I = 0 for every subset larger than ``top``, by ``det`` directly."""
+    for card in range(top + 1, m.rows + 1):
+        for subset in combinations(range(m.rows), card):
+            assert det(principal_submatrix(m, subset)) == 0
+
+
 def test_principal_minors_order_and_values():
     for m in _minor_test_matrices():
-        size = m.rows
+        size, top = m.rows, rank(m)
         minors = list(_principal_minors(m))
         subsets = [subset for subset, _ in minors]
-        assert len(subsets) == 2 ** size - 1
+        assert subsets == _subsets_up_to(size, top)
         assert subsets == sorted(subsets, key=lambda s: (len(s), s))
-        assert subsets[-1] == tuple(range(size))
+        assert (subsets[-1:] == [tuple(range(size))]) == (top == size)
         for subset, value in minors:
             assert value == det(principal_submatrix(m, subset))
+        _assert_zero_above(m, top)
 
 
 def test_principal_minors_require_symmetric():
@@ -146,11 +161,10 @@ def test_principal_minors_vanish_above_dimension():
     bodies = [random_box(rng, n) for _ in range(m)]
     matrix = build_matrix(bodies, 1, [random_box(rng, n)]).matrix
     minors = list(_principal_minors(matrix))
-    assert len(minors) == 2**m - 1
+    assert [subset for subset, _ in minors] == _subsets_up_to(m, n)
     for subset, value in minors:
         assert value == det(principal_submatrix(matrix, subset))
-        if len(subset) > n:
-            assert value == 0
+    _assert_zero_above(matrix, n)
     assert any(value != 0 for subset, value in minors if len(subset) == n)
 
 
@@ -400,3 +414,39 @@ def test_factored_form_matches_plain_on_random_tables():
         violation = _outcome(find_violation, table, classes, witness=(x, y))
         found += isinstance(violation, Violation)
     assert found >= 5  # the witness path ran to a violation, not only to its errors
+
+
+def test_inertia_and_minor_paths_never_run_rref(pipeline_matrices, monkeypatch):
+    # inertia, the enumerator's rank and the core search all run on the
+    # Bareiss step: with every binding of exactlin.rref raising, nothing changes
+    rng = random.Random(14)
+    shephard = build_matrix([random_box(rng, 4) for _ in range(7)], 1, [random_box(rng, 4) for _ in range(2)])
+    planted = planted_block_matrix()
+    x = (F(1), F(1), F(0), F(0), F(0), F(0))
+    y = (F(1), F(0), F(0), F(0), F(0), F(0))
+    fm, px, py = pipeline_matrices[0]
+
+    def run():
+        return [
+            shephard_verify(shephard),
+            sylvester_violation(shephard.matrix),
+            sylvester_violation(planted),
+            is_hyperbolic(shephard.matrix),
+            is_hyperbolic(planted),
+            greedy_core(planted, range(6)),
+            greedy_core(fm.table, fm.classes),
+            find_violation(planted, range(6)),
+            find_violation(planted, range(6), witness=(x, y)),
+            find_violation(fm.table, fm.classes, witness=(px, py)),
+        ]
+
+    expected = run()
+    assert expected[0].determinant == 0 and expected[2] is not None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rref ran on an inertia or minor path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "boxcert" and hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", forbidden)
+    assert run() == expected
