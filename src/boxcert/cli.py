@@ -313,17 +313,22 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
     pairing_rank = rank(pairing_matrix(n, k))
     v_poly = volume_polynomial(n)
     elements = []
+    # the counts, and per element a signed value >= 0 that is 0 exactly when
+    # the operator kills the volume polynomial
+    ok = len(basis) == expected_dim and pairing_rank == comb(n, k)
     for op in basis:
         value = hr_form(op, op, c_bodies)
+        signed_ok = (-1) ** k * value >= 0
+        kills = apply_op(op, v_poly).is_zero
+        ok &= signed_ok and (value == 0) == kills
         elements.append(
             {
                 "operator": op_to_json(op),
                 "form_value": rat_to_str(value),
-                "signed_value_nonneg": (-1) ** k * value >= 0,
-                "kills_volume_polynomial": apply_op(op, v_poly).is_zero,
+                "signed_value_nonneg": signed_ok,
+                "kills_volume_polynomial": kills,
             }
         )
-    ok = len(basis) == expected_dim and pairing_rank == comb(n, k)
     result = {
         "n": n,
         "k": k,
@@ -348,7 +353,7 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
                 f"basis[{idx}]: form value {element['form_value']}, "
                 f"signed sign ok: {element['signed_value_nonneg']}"
             )
-        lines.append("all counts consistent" if ok else "COUNT MISMATCH")
+        lines.append("all counts consistent" if ok else "CHECK FAILED")
         _emit("\n".join(lines) + "\n", args)
     return 0 if ok else 1
 

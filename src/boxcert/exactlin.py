@@ -112,7 +112,7 @@ class RatMatrix:
     """Immutable matrix of exact rationals.
 
     Rows are stored as a tuple of tuples of ``Fraction``. All operations
-    return new matrices; instances are safe to share between threads.
+    return new matrices.
     """
 
     __slots__ = ("entries", "rows", "cols")

@@ -46,10 +46,10 @@ from .exactlin import (
     Rat,
     RatMatrix,
     det,
+    inertia,
     integer_row,
     json_int,
     json_list,
-    principal_submatrix,
     rat_from_str,
     rat_to_str,
 )
@@ -296,6 +296,16 @@ class Certificate:
     version: int = CERTIFICATE_VERSION
 
 
+def _certificate(
+    fm: FedotovMatrix, labels, x, y, pairs, violation: Violation, trace: dict
+) -> Certificate:
+    """The certificate of ``violation`` in ``fm``; ``pairs`` is (<x,My>, <x,Mx>)."""
+    return Certificate(
+        fm.n, fm.k, tuple(labels), fm.bodies, fm.c_bodies, tuple(x), tuple(y), *pairs,
+        fm.matrix, violation.subset, violation.det_value, trace,
+    )
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
@@ -383,20 +393,8 @@ def construct_counterexample_k2(n: int) -> Certificate:
         "alpha": op_to_json(base.alpha),
         "shifts": [1, 2, 3],
     }
-    return Certificate(
-        n=n,
-        k=2,
-        labels=tuple(range(len(base.bodies))),
-        bodies=base.bodies,
-        c_bodies=base.c_bodies,
-        x=base.x,
-        y=base.y,
-        pair_xy=base.pair_xy,
-        pair_xx=base.pair_xx,
-        matrix=fm.matrix,
-        subset=violation.subset,
-        subset_det=violation.det_value,
-        trace=trace,
+    return _certificate(
+        fm, range(fm.m), base.x, base.y, (base.pair_xy, base.pair_xx), violation, trace
     )
 
 
@@ -459,21 +457,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
         "alpha": op_to_json(base.alpha),
         "shifts": [1, 2, 3],
     }
-    return Certificate(
-        n=n,
-        k=k,
-        labels=tuple(labels),
-        bodies=tuple(bodies),
-        c_bodies=c_bodies,
-        x=tuple(x_t),
-        y=tuple(y_t),
-        pair_xy=pair_xy,
-        pair_xx=pair_xx,
-        matrix=fm.matrix,
-        subset=violation.subset,
-        subset_det=violation.det_value,
-        trace=trace,
-    )
+    return _certificate(fm, labels, x_t, y_t, (pair_xy, pair_xx), violation, trace)
 
 
 def construct_counterexample(n: int, k: int) -> Certificate:
@@ -526,7 +510,11 @@ def random_search(
     """Randomized hunt for a direct minor-sign violation.
 
     Trial t checks random_instance(n, k, m, seed, t), so the outcome is a
-    pure function of (seed, trials).
+    pure function of (seed, trials). Each trial first takes the exact inertia
+    of the class table: a positive matrix with one positive eigenvalue has no
+    violating minor (by Cauchy interlacing, each M_I has one too), so its
+    2^m - 1 subsets are not enumerated; any other trial is scanned by
+    ``sylvester_violation``.
     Returns the first violation as a certificate with empty x, y (marked
     "direct"), or None.
     """
@@ -539,28 +527,17 @@ def random_search(
     for trial in range(trials):
         bodies, c_bodies = random_instance(n, k, m, seed, trial)
         fm = build_matrix(bodies, k, c_bodies)
+        if fm.table.is_positive and inertia(fm.table).n_pos == 1:
+            continue
         violation = sylvester_violation(fm.matrix)
         if violation is not None:
-            cert = Certificate(
-                n=n,
-                k=k,
-                labels=tuple(range(m)),
-                bodies=tuple(bodies),
-                c_bodies=tuple(c_bodies),
-                x=(),
-                y=(),
-                pair_xy=None,
-                pair_xx=None,
-                matrix=fm.matrix,
-                subset=violation.subset,
-                subset_det=violation.det_value,
-                trace={
-                    "mode": "direct",
-                    "seed": seed,
-                    "trial": trial,
-                    "grid": [rat_to_str(g) for g in DEFAULT_SEARCH_GRID],
-                },
-            )
+            trace = {
+                "mode": "direct",
+                "seed": seed,
+                "trial": trial,
+                "grid": [rat_to_str(g) for g in DEFAULT_SEARCH_GRID],
+            }
+            cert = _certificate(fm, range(m), (), (), (None, None), violation, trace)
             return cert, SearchStats(trial + 1, True, trial)
     return None, SearchStats(trials, False, None)
 
@@ -571,11 +548,16 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     The table over the stored bodies' width classes is recomputed from the
     widths by the coordinate DP of the mixvol module (the builder's integer
     table shares no code with it), one ``mixed_volume`` per class pair, with
-    the auxiliary bodies grouped by width class. Every stored entry M_ij is
-    compared against it; the matrix is symmetric and positive exactly when it
-    matches a positive table. The pairings are re-evaluated on the table, the
-    minor determinant is recomputed by fraction-free elimination, and the
-    sign condition is confirmed. Bounds are checked before any arithmetic.
+    the auxiliary bodies grouped by width class. The stored matrix is read
+    once, by the entry pass: each class's first stored row is compared with
+    the recomputed row by value and then stands for the class, so the later
+    rows of an honest class, which share its entry objects, compare by
+    identity. The matrix is symmetric and positive exactly when it matches a
+    positive table. Every claim is then checked on the table: the pairings
+    <x,My> = 0 and <x,Mx> > 0 with <y,My> > 0 (a positive-definite Gram
+    matrix of x and y, so the form is positive on a plane), and det M_I,
+    recomputed by fraction-free elimination, with its sign condition.
+    Bounds are checked before any arithmetic.
     """
 
     def fail(reason: str) -> VerificationReport:
@@ -619,6 +601,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 return fail("matrix is not entrywise positive")
             j = next(j for j in range(size) if row[j] != expected[j])
             return fail(f"matrix entry ({i},{j}) is {row[j]}, recomputed {expected[j]}")
+        # equal by value; the later rows of an honest class share its entry
+        # objects, so they compare by identity
+        expected_rows[classes[i]] = row
     if not table.is_positive:
         return fail("matrix is not entrywise positive")
     if cert.x or cert.y:
@@ -631,6 +616,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             return fail("stored <x,Mx> does not match recomputation")
         if pair_xx <= 0:
             return fail("quadratic form <x,Mx> is not strictly positive")
+        if witness_pairings(table, classes, cert.y, cert.y)[1] <= 0:
+            return fail("quadratic form <y,My> is not strictly positive")
     subset = cert.subset
     if not subset:
         return fail("empty violating subset")
@@ -638,7 +625,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         return fail("violating subset must be strictly ascending")
     if subset[0] < 0 or subset[-1] >= size:
         return fail("violating subset index out of range")
-    minor = det(principal_submatrix(cert.matrix, subset))
+    minor = det(class_matrix(table, [classes[i] for i in subset]))
     if minor != cert.subset_det:
         return fail(f"stored minor {cert.subset_det} differs from {minor}")
     if (-1) ** len(subset) * minor <= 0:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from boxcert.cli import main
+from boxcert.diffop import hr_form
 from boxcert.fedotov import certificate_to_json, construct_counterexample_k2
 
 RUN = [sys.executable, "-m", "boxcert.cli"]
@@ -102,6 +103,15 @@ def test_hodge_primitive_reports_dimension(capsys):
     assert main(["hodge", "primitive", "--n", "4", "--k", "2"]) == 0
     out = capsys.readouterr().out
     assert "primitive space dimension: 2 (expected 2)" in out
+
+
+def test_hodge_primitive_exit_status_covers_the_form_values(capsys, monkeypatch):
+    monkeypatch.setattr("boxcert.cli.hr_form", lambda *args: -hr_form(*args))
+    assert main(["hodge", "primitive", "--n", "4", "--k", "2", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["dimension"] == data["expected_dimension"]
+    assert not all(e["signed_value_nonneg"] for e in data["basis"])
 
 
 def test_hodge_primitive_bad_bounds(capsys):

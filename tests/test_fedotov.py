@@ -19,6 +19,7 @@ from boxcert.fedotov import (
     load_certificate,
     pipeline_base_k2,
     random_instance,
+    SearchStats,
     random_search,
     reduce_to_general_k,
     save_certificate,
@@ -329,6 +330,22 @@ def test_random_search_k2_finds_and_verifies():
     assert cert.bodies == tuple(bodies) and cert.c_bodies == tuple(c_bodies)
 
 
+def test_random_search_asks_inertia_before_enumerating(monkeypatch):
+    # every k = 1 trial has one positive eigenvalue, so no subset is
+    # enumerated; a k = 2 trial with two still is, and finds the same subset
+    def forbidden(m):
+        raise AssertionError("enumerated the minors of a hyperbolic matrix")
+
+    monkeypatch.setattr("boxcert.fedotov.sylvester_violation", forbidden)
+    cert, stats = random_search(12, 1, 20, 2, 1)
+    assert cert is None and stats == SearchStats(2, False, None)
+    monkeypatch.undo()
+    cert, stats = random_search(12, 2, 12, 3, 1)
+    assert stats == SearchStats(1, True, 0)
+    assert cert.subset == (0, 2, 3, 5, 7, 8, 9, 10)
+    assert verify_certificate(cert).ok
+
+
 def test_random_instance_draws_bodies_then_auxiliaries():
     bodies, c_bodies = random_instance(6, 2, 5, seed=4, trial=1)
     assert len(bodies) == 5 and len(c_bodies) == 2
@@ -427,6 +444,25 @@ def test_verify_checks_every_entry_of_a_repeated_class(reduction_n6_k3):
     assert report.reason.startswith(f"matrix entry ({i},{j}) is 9999, recomputed ")
 
 
+@pytest.mark.parametrize(
+    "i, j, value, reason",
+    [
+        (0, 5, "9999", "matrix entry (0,5) is 9999, recomputed 88/5"),
+        (7, 12, "9999", "matrix entry (7,12) is 9999, recomputed 88/5"),
+        (7, 12, "176/10", ""),
+    ],
+    ids=["first-row", "later-row", "later-row-longhand"],
+)
+def test_verify_entry_pass_on_a_repeated_class(reduction_n6_k3, i, j, value, reason):
+    # rows 0 and 7 are the first two rows of width class 0: row 0 is compared
+    # with the recomputed row, row 7 with row 0, by value when its entries
+    # are not row 0's objects
+    _, classes = width_classes(reduction_n6_k3.bodies)
+    assert classes.index(classes[7]) == 0
+    report = verify_certificate(_tampered(reduction_n6_k3, [(i, j, value), (j, i, value)]))
+    assert (report.ok, report.reason) == (not reason, reason)
+
+
 def test_verify_certificate_shares_no_code_with_the_builder(monkeypatch, reduction_n6_k3):
     # the verifier's table is the coordinate DP's: neither the builder's
     # integer table nor build_matrix runs
@@ -486,6 +522,23 @@ def test_verify_rejects_wrong_pairing():
     data["x"][0] = "1000000"
     report = verify_certificate(certificate_from_json(json.dumps(data)))
     assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "field, scale, reason",
+    [
+        ("y", 0, "quadratic form <y,My> is not strictly positive"),
+        ("y", 2, ""),
+        ("y", -1, ""),
+        ("x", -1, ""),
+    ],
+)
+def test_verify_needs_a_positive_y_direction(field, scale, reason):
+    # y = 0 proves nothing; a nonzero multiple of y, or -x, is as good a witness
+    cert = construct_counterexample_k2(4)
+    scaled = replace(cert, **{field: tuple(scale * v for v in getattr(cert, field))})
+    report = verify_certificate(scaled)
+    assert (report.ok, report.reason) == (not reason, reason)
 
 
 def test_verify_rejects_bad_version():
