@@ -61,6 +61,7 @@ from .hypmat import (
     find_violation,
     sylvester_violation,
     violates_sign,
+    witness_forms,
     witness_pairings,
 )
 from .mixvol import MAX_DIMENSION, BodyTuple, mixed_volume
@@ -555,7 +556,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     identity. The matrix is symmetric and positive exactly when it matches a
     positive table. Every claim is then checked on the table: the pairings
     <x,My> = 0 and <x,Mx> > 0 with <y,My> > 0 (a positive-definite Gram
-    matrix of x and y, so the form is positive on a plane), and det M_I,
+    matrix of x and y, so the form is positive on a plane), all three from
+    one integer scaling of the table (``witness_forms``), and det M_I,
     recomputed by fraction-free elimination, with its sign condition.
     Bounds are checked before any arithmetic.
     """
@@ -609,14 +611,14 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     if cert.x or cert.y:
         if len(cert.x) != size or len(cert.y) != size:
             return fail("witness vector dimension mismatch")
-        pair_xy, pair_xx = witness_pairings(table, classes, cert.x, cert.y)
+        pair_xy, pair_xx, pair_yy = witness_forms(table, classes, cert.x, cert.y)
         if pair_xy != 0 or cert.pair_xy != 0:
             return fail(f"pairing <x,My> is {pair_xy}, expected 0")
         if pair_xx != cert.pair_xx:
             return fail("stored <x,Mx> does not match recomputation")
         if pair_xx <= 0:
             return fail("quadratic form <x,Mx> is not strictly positive")
-        if witness_pairings(table, classes, cert.y, cert.y)[1] <= 0:
+        if pair_yy <= 0:
             return fail("quadratic form <y,My> is not strictly positive")
     subset = cert.subset
     if not subset:

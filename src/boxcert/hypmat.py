@@ -15,13 +15,17 @@ M_ij = table[classes[i]][classes[j]]; a plain matrix is (m, range(m)). For J
 with classes C, M_J = P^T T_C P with P of full row rank, so by Sylvester's
 law of inertia every inertia is taken on T_C.
 
-Everything on the certification path is exact rational arithmetic.
+Everything on the certification path is exact. The witness layer
+(``witness_forms``, ``witness_pairings``, ``shrink_with_witness``) scales
+the c x c table once to integers, and x and y once each, and divides only
+where it returns a form value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .exactlin import (
@@ -32,6 +36,7 @@ from .exactlin import (
     dot,
     inertia,
     integer_matrix,
+    integer_row,
     nullspace_basis,
     principal_submatrix,
     rat_to_str,
@@ -82,23 +87,54 @@ def class_matrix(table: RatMatrix, classes: Sequence[int]) -> RatMatrix:
     return RatMatrix([[e[a][b] for b in classes] for a in classes])
 
 
-def _class_sums(table: RatMatrix, classes: Sequence[int], v: Sequence[Rat]) -> list[Rat]:
-    """Per row of ``table``, the sum of v_i over the indices i of that class."""
+def _integer_sums(size: int, classes: Sequence[int], v: Sequence[Rat]):
+    """(z, sums, d): z = d v in integers, d the lcm of v's denominators, and
+    per row of a table with ``size`` rows, the sum of z_i over the indices i
+    of that class."""
     if len(v) != len(classes):
         raise ValueError("vector dimension mismatch")
-    sums = [Fraction(0)] * table.rows
-    for c, vi in zip(classes, v):
-        sums[c] += vi
-    return sums
+    z, d = integer_row(v)
+    sums = [0] * size
+    for c, zi in zip(classes, z):
+        sums[c] += zi
+    return z, sums, d
+
+
+def _scaled_witness(table: RatMatrix, classes: Sequence[int], x, y):
+    """The witness on the table scaled once to integers.
+
+    With N = D T, X = d_x x and Y = d_y y (D, d_x, d_y the lcms of the
+    denominators), returns (N, X, Y, cx, cy, gram, scales): the row sums
+    cx = N X_C and cy = N Y_C on the class sums X_C, Y_C, the Gram values
+    (gx, gy, gxy) = (X_C cx, Y_C cy, X_C cy), and the scale of each,
+    (D d_x^2, D d_y^2, D d_x d_y), all positive.
+    """
+    rows, den = integer_matrix(table)
+    zx, x_sums, dx = _integer_sums(table.rows, classes, x)
+    zy, y_sums, dy = _integer_sums(table.rows, classes, y)
+    cx = [sum(map(mul, row, x_sums)) for row in rows]
+    cy = [sum(map(mul, row, y_sums)) for row in rows]
+    gram = sum(map(mul, x_sums, cx)), sum(map(mul, y_sums, cy)), sum(map(mul, x_sums, cy))
+    return rows, zx, zy, cx, cy, gram, (den * dx * dx, den * dy * dy, den * dx * dy)
+
+
+def witness_forms(
+    table: RatMatrix, classes: Sequence[int], x: Sequence[Rat], y: Sequence[Rat]
+) -> tuple[Rat, Rat, Rat]:
+    """(<y, Mx>, <x, Mx>, <y, My>), the table's form on the class sums.
+
+    The table is scaled once to integers, and x and y once each; each form
+    is one integer divided by its scale.
+    """
+    *_, (gx, gy, gxy), (sx, sy, sxy) = _scaled_witness(table, classes, x, y)
+    return Fraction(gxy, sxy), Fraction(gx, sx), Fraction(gy, sy)
 
 
 def witness_pairings(
     table: RatMatrix, classes: Sequence[int], x: Sequence[Rat], y: Sequence[Rat]
 ) -> tuple[Rat, Rat]:
-    """(<y, Mx>, <x, Mx>), as the table's form on the class sums of x and y."""
-    x_sums = _class_sums(table, classes, x)
-    tx = table.matvec(x_sums)
-    return dot(_class_sums(table, classes, y), tx), dot(x_sums, tx)
+    """(<y, Mx>, <x, Mx>), from the integer-scaled table of ``witness_forms``."""
+    return witness_forms(table, classes, x, y)[:2]
 
 
 def is_hyperbolic(m: RatMatrix) -> bool:
@@ -310,7 +346,9 @@ def witness_implies_two_positive(gx: Rat, gy: Rat, gxy: Rat) -> bool:
     """PD test for the 2x2 Gram [[gx, gxy], [gxy, gy]].
 
     A positive-definite Gram of two vectors under M exhibits a plane on
-    which the form is positive, hence n_pos(M) >= 2.
+    which the form is positive, hence n_pos(M) >= 2. Only signs are read,
+    so the answer is the same on a Gram whose entries carry the positive
+    scales of ``_scaled_witness``.
     """
     return gx > 0 and gy > 0 and gx * gy - gxy * gxy > 0
 
@@ -326,31 +364,34 @@ def shrink_with_witness(
     n_pos >= 2 for every intermediate submatrix without computing a full
     inertia. The row sums (Mx)_a and (My)_a depend only on the class of a,
     so they are kept per class: a removal updates c values.
+
+    Everything runs on the table scaled once to integers, and x and y once
+    each (``_scaled_witness``). The Gram values then carry the positive
+    scales D d_x^2, D d_y^2 and D d_x d_y, and gx gy - gxy^2 the scale
+    D^2 d_x^2 d_y^2, so every sign of the PD test, and with it every
+    removal, is the same as on the rationals.
     """
     if not table.is_symmetric:
         raise ValueError("matrix must be symmetric")
-    x_sums, y_sums = _class_sums(table, classes, x), _class_sums(table, classes, y)
-    cx, cy = list(table.matvec(x_sums)), list(table.matvec(y_sums))
-    gx, gy, gxy = dot(x_sums, cx), dot(y_sums, cy), dot(x_sums, cy)
+    rows, zx, zy, cx, cy, (gx, gy, gxy), _ = _scaled_witness(table, classes, x, y)
     if not witness_implies_two_positive(gx, gy, gxy):
         raise ValueError("witness pair does not certify two positive directions")
-    live = [i for i in range(len(classes)) if x[i] != 0 or y[i] != 0]
-    e = table.entries
+    live = [i for i in range(len(classes)) if zx[i] or zy[i]]
     changed = True
     while changed:
         changed = False
         for a in list(live):
-            xa, ya, ca = x[a], y[a], classes[a]
-            maa = e[ca][ca]
+            xa, ya, ca = zx[a], zy[a], classes[a]
+            col = rows[ca]  # column ca of the symmetric N
+            maa = col[ca]
             gx2 = gx - 2 * xa * cx[ca] + xa * xa * maa
             gy2 = gy - 2 * ya * cy[ca] + ya * ya * maa
             gxy2 = gxy - xa * cy[ca] - ya * cx[ca] + xa * ya * maa
             if witness_implies_two_positive(gx2, gy2, gxy2):
                 live.remove(a)
                 gx, gy, gxy = gx2, gy2, gxy2
-                for c, row in enumerate(e):
-                    cx[c] -= xa * row[ca]
-                    cy[c] -= ya * row[ca]
+                cx = [v - xa * w for v, w in zip(cx, col)]
+                cy = [v - ya * w for v, w in zip(cy, col)]
                 changed = True
     return tuple(live)
 

@@ -48,6 +48,8 @@ class BodyTuple:
     def __post_init__(self):
         entries = tuple((box, int(mult)) for box, mult in self.entries)
         object.__setattr__(self, "entries", entries)
+        if self.n < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.n}")
         if any(mult < 1 for _, mult in entries):
             raise ValueError("multiplicities must be at least 1")
         if any(box.n != self.n for box, _ in entries):

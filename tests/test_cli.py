@@ -439,6 +439,13 @@ def test_mixvol_multiplicity_sum_checked_before_work(tmp_path, capsys, monkeypat
     _usage_error(capsys, ["mixvol", str(path)], "multiplicities sum to 3, expected 2")
 
 
+def test_mixvol_rejects_zero_dimension(tmp_path, capsys):
+    # an empty tuple sums to n = 0; it is a malformed file, not an engine fault
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"n": 0, "bodies": []}))
+    _usage_error(capsys, ["mixvol", str(path)], "dimension must be at least 1, got 0")
+
+
 def test_value_error_inside_computation_is_not_a_usage_error(monkeypatch):
     def fault(*_):
         raise ValueError("internal fault")

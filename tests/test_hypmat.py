@@ -8,7 +8,15 @@ import pytest
 
 from boxcert.boxes import BoxBody, unit_cube
 from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix, rank
-from boxcert.fedotov import build_matrix, pipeline_base_k2, reduce_to_general_k, shephard_verify
+from boxcert.fedotov import (
+    VerificationReport,
+    build_matrix,
+    construct_counterexample,
+    pipeline_base_k2,
+    reduce_to_general_k,
+    shephard_verify,
+    verify_certificate,
+)
 from boxcert.hypmat import (
     SUBSET_ENUMERATION_CAP,
     Violation,
@@ -21,6 +29,8 @@ from boxcert.hypmat import (
     is_hyperbolic,
     shrink_with_witness,
     sylvester_violation,
+    witness_forms,
+    witness_implies_two_positive,
     witness_pairings,
 )
 from boxcert.selftest import (
@@ -450,3 +460,105 @@ def test_inertia_and_minor_paths_never_run_rref(pipeline_matrices, monkeypatch):
         if name.split(".")[0] == "boxcert" and hasattr(module, "rref"):
             monkeypatch.setattr(module, "rref", forbidden)
     assert run() == expected
+
+
+def _fraction_shrink(table, classes, x, y):
+    """``shrink_with_witness`` as it ran in Fraction arithmetic, kept as the oracle."""
+    if not table.is_symmetric:
+        raise ValueError("matrix must be symmetric")
+
+    def class_sums(v):
+        sums = [F(0)] * table.rows
+        for c, vi in zip(classes, v):
+            sums[c] += vi
+        return sums
+
+    x_sums, y_sums = class_sums(x), class_sums(y)
+    cx, cy = list(table.matvec(x_sums)), list(table.matvec(y_sums))
+    gx, gy, gxy = dot(x_sums, cx), dot(y_sums, cy), dot(x_sums, cy)
+    if not witness_implies_two_positive(gx, gy, gxy):
+        raise ValueError("witness pair does not certify two positive directions")
+    live = [i for i in range(len(classes)) if x[i] != 0 or y[i] != 0]
+    e = table.entries
+    changed = True
+    while changed:
+        changed = False
+        for a in list(live):
+            xa, ya, ca = x[a], y[a], classes[a]
+            maa = e[ca][ca]
+            gx2 = gx - 2 * xa * cx[ca] + xa * xa * maa
+            gy2 = gy - 2 * ya * cy[ca] + ya * ya * maa
+            gxy2 = gxy - xa * cy[ca] - ya * cx[ca] + xa * ya * maa
+            if witness_implies_two_positive(gx2, gy2, gxy2):
+                live.remove(a)
+                gx, gy, gxy = gx2, gy2, gxy2
+                for c, row in enumerate(e):
+                    cx[c] -= xa * row[ca]
+                    cy[c] -= ya * row[ca]
+                changed = True
+    return tuple(live)
+
+
+def test_integer_shrink_matches_the_fraction_shrink():
+    # tables with denominators and repeated classes; x and y with negative
+    # and zero entries and denominators of their own
+    rng = random.Random(15)
+    entries = [F(a, b) for a in range(1, 13) for b in (1, 2, 3, 5, 7)]
+    weights = [F(a, b) for a in range(-4, 5) for b in (1, 2, 3, 4)]
+    shrunk = 0
+    for _ in range(300):
+        c = rng.randrange(1, 6)
+        classes = list(range(c)) + [rng.randrange(c) for _ in range(rng.randrange(0, 6))]
+        rng.shuffle(classes)
+        rows = [[F(0)] * c for _ in range(c)]
+        for i in range(c):
+            for j in range(i, c):
+                rows[i][j] = rows[j][i] = rng.choice(entries)
+        table = RatMatrix(rows)
+        x, y = ([rng.choice(weights) for _ in classes] for _ in range(2))
+        expected = _outcome(_fraction_shrink, table, classes, x, y)
+        assert _outcome(shrink_with_witness, table, classes, x, y) == expected
+        shrunk += isinstance(expected, tuple) and len(expected) < len(classes)
+    assert shrunk >= 50  # the removal loop ran, not only the up-front Gram check
+
+
+def test_witness_forms_are_the_three_pairings(pipeline_matrices):
+    for fm, x, y in pipeline_matrices:
+        mx, my = fm.matrix.matvec(x), fm.matrix.matvec(y)
+        assert witness_forms(fm.table, fm.classes, x, y) == (dot(y, mx), dot(x, mx), dot(y, my))
+
+
+def test_witness_layer_runs_no_fraction_arithmetic(pipeline_matrices, monkeypatch):
+    fm, x, y = pipeline_matrices[0]
+    certs = [construct_counterexample(n, n // 2) for n in (4, 6, 8)]
+    tables = [build_matrix(cert.bodies, cert.k, cert.c_bodies) for cert in certs]
+
+    def run():
+        return [
+            find_violation(fm.table, fm.classes, witness=(x, y)),
+            *(find_violation(t.table, t.classes, witness=(c.x, c.y)) for t, c in zip(tables, certs)),
+            *map(verify_certificate, certs),
+        ]
+
+    def witness_layer():
+        return [
+            witness_pairings(fm.table, fm.classes, x, y),
+            witness_forms(fm.table, fm.classes, x, y),
+            shrink_with_witness(fm.table, fm.classes, x, y),
+        ]
+
+    expected, expected_layer = run(), witness_layer()
+    assert expected[1:4] == [Violation(c.subset, c.subset_det) for c in certs]
+    assert expected[4:] == [VerificationReport(True, "")] * 3
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction arithmetic ran in the witness layer")
+
+    monkeypatch.setattr("boxcert.hypmat.dot", forbidden)
+    monkeypatch.setattr(RatMatrix, "matvec", forbidden)
+    assert run() == expected
+    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        monkeypatch.setattr(F, f"__{op}__", forbidden)
+        monkeypatch.setattr(F, f"__r{op}__", forbidden)
+    monkeypatch.setattr(F, "__neg__", forbidden)
+    assert witness_layer() == expected_layer

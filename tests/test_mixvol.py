@@ -42,6 +42,8 @@ def test_body_tuple_validation():
         BodyTuple(2, ((unit_cube(3), 2),))
     with pytest.raises(ValueError):
         BodyTuple(2, ((unit_cube(2), 0), (unit_cube(2), 2)))
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        BodyTuple(0, ())
 
 
 def _with_zero_width(rng, box):
