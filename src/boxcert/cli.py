@@ -36,15 +36,7 @@ from math import comb
 from typing import Optional
 
 from .boxes import BoxBody, box_from_widths, unit_cube
-from .diffop import (
-    apply_op,
-    h_vector_cube,
-    hr_form,
-    op_to_json,
-    pairing_matrix,
-    primitive_space_basis,
-    volume_polynomial,
-)
+from .diffop import h_vector_cube, hr_check, op_to_json, pairing_matrix, primitive_space_basis
 from .exactlin import json_int, json_list, rank, rat_to_str, rats_from_json
 from .fedotov import (
     certificate_to_json,
@@ -104,6 +96,14 @@ def _emit(payload: str, args: argparse.Namespace) -> None:
         sys.stdout.write(payload)
 
 
+def _report(result: dict, lines: list[str], args: argparse.Namespace) -> None:
+    """Emit ``result`` as indented JSON under ``--format json``, else ``lines``."""
+    if args.format == "json":
+        _emit(json.dumps(result, indent=2) + "\n", args)
+    else:
+        _emit("\n".join(lines) + "\n", args)
+
+
 def _print(line: str) -> None:
     sys.stdout.write(line + "\n")
 
@@ -159,10 +159,8 @@ def cmd_mixvol(args: argparse.Namespace) -> int:
     if value != cross:  # pragma: no cover - would indicate an engine bug
         _print(f"INTERNAL ERROR: evaluation paths disagree: {value} vs {cross}")
         return 1
-    if args.format == "json":
-        _emit(json.dumps({"n": n, "mixed_volume": rat_to_str(value)}, indent=2) + "\n", args)
-    else:
-        _emit(f"mixed volume = {rat_to_str(value)}\n", args)
+    text = rat_to_str(value)
+    _report({"n": n, "mixed_volume": text}, [f"mixed volume = {text}"], args)
     return 0
 
 
@@ -213,16 +211,13 @@ def cmd_shephard(args: argparse.Namespace) -> int:
                 "violations": [v.to_json() for v in report.violations],
             }
         )
-    if args.format == "json":
-        _emit(json.dumps({"ok": all_ok, "instances": results}, indent=2) + "\n", args)
-    else:
-        lines = [
-            f"instance {r['instance']}: {'ok' if r['ok'] else 'VIOLATION'} "
-            f"({r['subsets_checked']} minors, det = {r['det']})"
-            for r in results
-        ]
-        lines.append("all minor signs consistent" if all_ok else "MINOR SIGN VIOLATION")
-        _emit("\n".join(lines) + "\n", args)
+    lines = [
+        f"instance {r['instance']}: {'ok' if r['ok'] else 'VIOLATION'} "
+        f"({r['subsets_checked']} minors, det = {r['det']})"
+        for r in results
+    ]
+    lines.append("all minor signs consistent" if all_ok else "MINOR SIGN VIOLATION")
+    _report({"ok": all_ok, "instances": results}, lines, args)
     return 0 if all_ok else 1
 
 
@@ -296,10 +291,7 @@ def cmd_fedotov_verify(args: argparse.Namespace) -> int:
             if ok
             else f"certificate INVALID: {reason}"
         )
-    if args.format == "json":
-        _emit(json.dumps({"ok": ok, "reason": reason}, indent=2) + "\n", args)
-    else:
-        _emit(line + "\n", args)
+    _report({"ok": ok, "reason": reason}, [line], args)
     return 0 if ok else 1
 
 
@@ -311,16 +303,12 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
     basis = primitive_space_basis(k, cube, c_bodies)
     expected_dim = comb(n, k) - comb(n, k - 1)
     pairing_rank = rank(pairing_matrix(n, k))
-    v_poly = volume_polynomial(n)
     elements = []
-    # the counts, and per element a signed value >= 0 that is 0 exactly when
-    # the operator kills the volume polynomial
+    # the counts, and per element the Hodge-Riemann verdict
     ok = len(basis) == expected_dim and pairing_rank == comb(n, k)
     for op in basis:
-        value = hr_form(op, op, c_bodies)
-        signed_ok = (-1) ** k * value >= 0
-        kills = apply_op(op, v_poly).is_zero
-        ok &= signed_ok and (value == 0) == kills
+        value, signed_ok, equality_ok, kills = hr_check(op, cube, c_bodies)
+        ok &= signed_ok and equality_ok
         elements.append(
             {
                 "operator": op_to_json(op),
@@ -340,43 +328,28 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
         "ok": ok,
         "basis": elements,
     }
-    if args.format == "json":
-        _emit(json.dumps(result, indent=2) + "\n", args)
-    else:
-        lines = [
-            f"h-vector: {result['h_vector']}",
-            f"primitive space dimension: {len(basis)} (expected {expected_dim})",
-            f"pairing rank: {pairing_rank} (expected {comb(n, k)})",
-        ]
-        for idx, element in enumerate(elements):
-            lines.append(
-                f"basis[{idx}]: form value {element['form_value']}, "
-                f"signed sign ok: {element['signed_value_nonneg']}"
-            )
-        lines.append("all counts consistent" if ok else "CHECK FAILED")
-        _emit("\n".join(lines) + "\n", args)
+    lines = [
+        f"h-vector: {result['h_vector']}",
+        f"primitive space dimension: {len(basis)} (expected {expected_dim})",
+        f"pairing rank: {pairing_rank} (expected {comb(n, k)})",
+        *(
+            f"basis[{idx}]: form value {element['form_value']}, "
+            f"signed sign ok: {element['signed_value_nonneg']}"
+            for idx, element in enumerate(elements)
+        ),
+        "all counts consistent" if ok else "CHECK FAILED",
+    ]
+    _report(result, lines, args)
     return 0 if ok else 1
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     results = run_all(seed=args.seed)
     all_ok = all(ok for _, ok, _ in results)
-    if args.format == "json":
-        payload = {
-            "ok": all_ok,
-            "suites": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in results
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-    else:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'} {name} - {detail}"
-            for name, ok, detail in results
-        ]
-        lines.append("selftest passed" if all_ok else "selftest FAILED")
-        _emit("\n".join(lines) + "\n", args)
+    suites = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]
+    lines = [f"{'PASS' if ok else 'FAIL'} {name} - {detail}" for name, ok, detail in results]
+    lines.append("selftest passed" if all_ok else "selftest FAILED")
+    _report({"ok": all_ok, "suites": suites}, lines, args)
     return 0 if all_ok else 1
 
 

@@ -12,6 +12,12 @@ part: a degree-k operator is a map from k-element subsets of {0..n-1} to
 rational coefficients. Two operators that differ by a member of the
 annihilator ideal {a : aV = 0} are therefore identified, which is exactly
 the quotient in which the Hodge-Riemann statements live.
+
+``apply_op`` is the one differentiation: a box's degree-1 derivative
+(``derivative_along``) is the operator ``op_from_box(box, 1)`` applied.
+``hr_form`` is the one evaluator of the form, and ``hr_check`` the one
+Hodge-Riemann verdict on a primitive operator, which ``hodge primitive``
+and the selftest call.
 """
 
 from __future__ import annotations
@@ -189,17 +195,7 @@ def apply_op(a: SlabOperator, p: SlabPolynomial) -> SlabPolynomial:
 
 def derivative_along(box: BoxBody, p: SlabPolynomial) -> SlabPolynomial:
     """Apply the box's degree-1 derivative operator sum_j w_j d_j."""
-    if box.n != p.n:
-        raise ValueError("dimension mismatch")
-    w = box.widths
-    terms: dict[Subset, Rat] = {}
-    for t, ct in p.terms.items():
-        for pos, j in enumerate(t):
-            if w[j] == 0:
-                continue
-            rest = t[:pos] + t[pos + 1 :]
-            terms[rest] = terms.get(rest, Fraction(0)) + w[j] * ct
-    return SlabPolynomial(p.n, terms)
+    return apply_op(op_from_box(box, 1), p)
 
 
 def contract(p: SlabPolynomial, bodies: Sequence[BoxBody]) -> SlabPolynomial:
@@ -281,20 +277,21 @@ def is_primitive(
 
 def hr_check(
     a: SlabOperator, reference: BoxBody, c_bodies: Sequence[BoxBody]
-) -> tuple[Rat, bool, bool]:
-    """Evaluate the signed quadratic form on a primitive operator.
+) -> tuple[Rat, bool, bool, bool]:
+    """The Hodge-Riemann verdict on a primitive operator.
 
-    Returns (value, sign_ok, equality_iff_zero_ok) where value is
-    a*a*prod D_{C_i} V, sign_ok checks (-1)^k * value >= 0, and the final
-    flag checks that value = 0 exactly when the operator kills V.
+    Returns (value, sign_ok, equality_ok, kills_v): value is
+    a*a*prod D_{C_i} V (``hr_form``), sign_ok checks (-1)^k * value >= 0,
+    kills_v whether the operator kills V, and equality_ok that value = 0
+    exactly when it does. An operator that is not primitive for
+    (reference, c_bodies) raises ValueError.
     """
     if not is_primitive(a, reference, c_bodies):
         raise ValueError("operator is not primitive for the given bodies")
     value = hr_form(a, a, c_bodies)
     sign_ok = (-1) ** a.k * value >= 0
     kills_v = apply_op(a, volume_polynomial(a.n)).is_zero
-    equality_ok = (value == 0) == kills_v
-    return value, sign_ok, equality_ok
+    return value, sign_ok, (value == 0) == kills_v, kills_v
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from math import factorial
 from operator import add, lshift, mul
 from typing import Callable, Optional, Sequence
 
-from .boxes import BoxBody, box_from_widths, minkowski_combine, unit_cube
+from .boxes import BoxBody, box_from_widths, unit_cube
 from .diffop import (
     SlabOperator,
     apply_op,
@@ -46,7 +46,6 @@ from .exactlin import (
     Rat,
     RatMatrix,
     det,
-    inertia,
     integer_row,
     json_int,
     json_list,
@@ -59,10 +58,10 @@ from .hypmat import (
     _principal_minors,
     class_matrix,
     find_violation,
+    is_hyperbolic,
     sylvester_violation,
     violates_sign,
     witness_forms,
-    witness_pairings,
 )
 from .mixvol import MAX_DIMENSION, BodyTuple, mixed_volume
 
@@ -347,7 +346,8 @@ def pipeline_base_k2(n: int) -> PipelineData:
     V is nonzero (strictness of the quadratic form is then automatic),
     expand it into pure squares of nondegenerate box derivatives, append
     the cube with coefficient 0, and verify the two defining identities
-    <x, My> = 0 and <x, Mx> = alpha^2 (D_cube)^{n-4} V / n! > 0 exactly.
+    <x, My> = 0 and <x, Mx> = alpha^2 (D_cube)^{n-4} V / n! > 0 exactly,
+    and <y, My> > 0, the verifier's three claims.
     """
     if n < 4:
         raise ValueError("the degree-2 construction needs n >= 4")
@@ -371,7 +371,7 @@ def pipeline_base_k2(n: int) -> PipelineData:
     x = tuple(c for c, _ in powers.terms) + (Fraction(0),)
     y = tuple(Fraction(0) for _ in powers.terms) + (Fraction(1),)
     fm = build_matrix(bodies, 2, c_bodies)
-    pair_xy, pair_xx = witness_pairings(fm.table, fm.classes, x, y)
+    pair_xy, pair_xx, pair_yy = witness_forms(fm.table, fm.classes, x, y)
     _check(pair_xy == 0, f"primitivity pairing is {pair_xy}, expected 0")
     expected = hr_form(alpha, alpha, c_bodies) / factorial(n)
     _check(
@@ -379,6 +379,7 @@ def pipeline_base_k2(n: int) -> PipelineData:
         f"quadratic form {pair_xx} differs from operator value {expected}",
     )
     _check(pair_xx > 0, "quadratic form is not strictly positive")
+    _check(pair_yy > 0, "quadratic form <y,My> is not strictly positive")
     return PipelineData(
         n, alpha, bodies, x, y, c_bodies, fm, pair_xy, pair_xx
     )
@@ -408,10 +409,12 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     """Lift the k = 2 violation to degree k via double polarization.
 
     Each base body K_i spawns the bodies (d_1 + d_2) K_i + (d_3 + ... +
-    d_k) * cube over the nonzero patterns d, and the polarization signs
-    turn the base pairings into the lifted ones exactly:
-    <x~, M~ y~> = <x, My> and <x~, M~ x~> = <x, Mx>. Both sides of each
-    identity are computed independently and compared.
+    d_k) * cube over the nonzero patterns d, whose widths are
+    (d_1 + d_2) w + (d_3 + ... + d_k), and the polarization signs turn the
+    base pairings into the lifted ones exactly: <x~, M~ y~> = <x, My> and
+    <x~, M~ x~> = <x, Mx>. Both sides of each identity are computed
+    independently and compared, and <y~, M~ y~> > 0 is checked, as the
+    verifier will.
     """
     n = base.n
     if k < 2 or 2 * k > n:
@@ -426,10 +429,10 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     m_plus = len(base.bodies)
     y_delta = (1,) + (0,) * (k - 1)
     for i in range(m_plus):
+        widths = base.bodies[i].widths
         for delta in deltas:
-            body = minkowski_combine(
-                [(delta[0] + delta[1], base.bodies[i]), (sum(delta[2:]), cube)]
-            )
+            a, b = delta[0] + delta[1], sum(delta[2:])
+            body = BoxBody(n, tuple(a * w + b for w in widths))
             _check(body.is_nondegenerate, f"degenerate lifted body at {(i, delta)}")
             labels.append((i, delta))
             bodies.append(body)
@@ -440,7 +443,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
             )
     c_bodies = tuple([cube] * (n - 2 * k))
     fm = build_matrix(bodies, k, c_bodies)
-    pair_xy, pair_xx = witness_pairings(fm.table, fm.classes, x_t, y_t)
+    pair_xy, pair_xx, pair_yy = witness_forms(fm.table, fm.classes, x_t, y_t)
     _check(
         pair_xy == base.pair_xy == 0,
         f"lifted pairing {pair_xy} differs from base {base.pair_xy}",
@@ -450,6 +453,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
         f"lifted quadratic form {pair_xx} differs from base {base.pair_xx}",
     )
     _check(pair_xx > 0, "lifted quadratic form is not strictly positive")
+    _check(pair_yy > 0, "lifted quadratic form <y,My> is not strictly positive")
     violation = find_violation(fm.table, fm.classes, witness=(x_t, y_t))
     trace = {
         "mode": "reduction",
@@ -511,11 +515,11 @@ def random_search(
     """Randomized hunt for a direct minor-sign violation.
 
     Trial t checks random_instance(n, k, m, seed, t), so the outcome is a
-    pure function of (seed, trials). Each trial first takes the exact inertia
-    of the class table: a positive matrix with one positive eigenvalue has no
-    violating minor (by Cauchy interlacing, each M_I has one too), so its
-    2^m - 1 subsets are not enumerated; any other trial is scanned by
-    ``sylvester_violation``.
+    pure function of (seed, trials). Each trial first asks ``is_hyperbolic``
+    of the class table (grid bodies give a positive one): a positive matrix
+    with one positive eigenvalue has no violating minor (by Cauchy
+    interlacing, each M_I has one too), so its 2^m - 1 subsets are not
+    enumerated; any other trial is scanned by ``sylvester_violation``.
     Returns the first violation as a certificate with empty x, y (marked
     "direct"), or None.
     """
@@ -528,7 +532,7 @@ def random_search(
     for trial in range(trials):
         bodies, c_bodies = random_instance(n, k, m, seed, trial)
         fm = build_matrix(bodies, k, c_bodies)
-        if fm.table.is_positive and inertia(fm.table).n_pos == 1:
+        if is_hyperbolic(fm.table):
             continue
         violation = sylvester_violation(fm.matrix)
         if violation is not None:
@@ -630,7 +634,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     minor = det(class_matrix(table, [classes[i] for i in subset]))
     if minor != cert.subset_det:
         return fail(f"stored minor {cert.subset_det} differs from {minor}")
-    if (-1) ** len(subset) * minor <= 0:
+    if not violates_sign(subset, minor):
         return fail("subset does not violate the minor sign condition")
     return VerificationReport(True, "")
 

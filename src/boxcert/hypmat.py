@@ -16,9 +16,11 @@ with classes C, M_J = P^T T_C P with P of full row rank, so by Sylvester's
 law of inertia every inertia is taken on T_C.
 
 Everything on the certification path is exact. The witness layer
-(``witness_forms``, ``witness_pairings``, ``shrink_with_witness``) scales
-the c x c table once to integers, and x and y once each, and divides only
-where it returns a form value.
+(``witness_forms``, ``shrink_with_witness``) scales the c x c table once to
+integers, and x and y once each, and divides only where it returns a form
+value. ``violates_sign`` is the one minor-sign rule, which the verifier's
+det M_I check also reads, and ``is_hyperbolic`` the one hyperbolicity test,
+which ``random_search`` asks before it enumerates.
 """
 
 from __future__ import annotations
@@ -128,13 +130,6 @@ def witness_forms(
     """
     *_, (gx, gy, gxy), (sx, sy, sxy) = _scaled_witness(table, classes, x, y)
     return Fraction(gxy, sxy), Fraction(gx, sx), Fraction(gy, sy)
-
-
-def witness_pairings(
-    table: RatMatrix, classes: Sequence[int], x: Sequence[Rat], y: Sequence[Rat]
-) -> tuple[Rat, Rat]:
-    """(<y, Mx>, <x, Mx>), from the integer-scaled table of ``witness_forms``."""
-    return witness_forms(table, classes, x, y)[:2]
 
 
 def is_hyperbolic(m: RatMatrix) -> bool:

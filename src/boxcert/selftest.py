@@ -17,15 +17,14 @@ from math import comb, factorial
 from .boxes import minkowski_combine, unit_cube, volume
 from .diffop import (
     SlabOperator,
-    apply_op,
     op_add,
     op_scale,
     express_as_powers,
+    hr_check,
     hr_form,
     op_from_box,
     pairing_matrix,
     primitive_space_basis,
-    volume_polynomial,
 )
 from .exactlin import RatMatrix, det, dot, inertia, principal_submatrix, rank
 from .fedotov import (
@@ -39,7 +38,9 @@ from .fedotov import (
     shephard_verify,
     verify_certificate,
 )
-from .hypmat import af_form_check, equality_witness, is_hyperbolic, sylvester_violation
+from .hypmat import (
+    af_form_check, equality_witness, is_hyperbolic, sylvester_violation, violates_sign
+)
 from .mixvol import (
     BodyTuple,
     af_check,
@@ -206,7 +207,7 @@ def suite_hypmat(rng: random.Random, count: int) -> tuple[bool, str]:
             return False, f"equivalence failed at trial {trial}"
         if violation is not None:
             value = det(principal_submatrix(m, violation.subset))
-            if value != violation.det_value or (-1) ** len(violation.subset) * value <= 0:
+            if value != violation.det_value or not violates_sign(violation.subset, value):
                 return False, f"violation does not re-verify at trial {trial}"
         else:
             hyperbolic_seen += 1
@@ -257,11 +258,10 @@ def suite_diffop(rng: random.Random, hr_count: int) -> tuple[bool, str]:
                 alpha = SlabOperator(n, k)
                 for c, b in zip(coeffs, basis):
                     alpha = op_add(alpha, op_scale(b, c))
-                value = hr_form(alpha, alpha, c_bodies)
-                if (-1) ** k * value < 0:
+                _, sign_ok, equality_ok, _ = hr_check(alpha, cube, c_bodies)
+                if not sign_ok:
                     return False, f"sign violated at n={n}, k={k}, trial {trial}"
-                kills = apply_op(alpha, volume_polynomial(n)).is_zero
-                if (value == 0) != kills:
+                if not equality_ok:
                     return False, f"equality case wrong at n={n}, k={k}, trial {trial}"
     for trial in range(hr_count):
         n = rng.randrange(2, 6)

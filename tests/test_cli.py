@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from boxcert.cli import main
-from boxcert.diffop import hr_form
+from boxcert.diffop import hr_form, op_from_box, primitive_space_basis
 from boxcert.fedotov import certificate_to_json, construct_counterexample_k2
 
 RUN = [sys.executable, "-m", "boxcert.cli"]
@@ -106,12 +106,24 @@ def test_hodge_primitive_reports_dimension(capsys):
 
 
 def test_hodge_primitive_exit_status_covers_the_form_values(capsys, monkeypatch):
-    monkeypatch.setattr("boxcert.cli.hr_form", lambda *args: -hr_form(*args))
+    # hr_check, the one Hodge-Riemann verdict, reads the form from hr_form
+    monkeypatch.setattr("boxcert.diffop.hr_form", lambda *args: -hr_form(*args))
     assert main(["hodge", "primitive", "--n", "4", "--k", "2", "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
     assert data["dimension"] == data["expected_dimension"]
     assert not all(e["signed_value_nonneg"] for e in data["basis"])
+
+
+def test_hodge_primitive_checks_every_element_for_primitivity(capsys, monkeypatch):
+    # D_cube^2 does not kill D_cube V, so it is not primitive: a fault, not a verdict
+    monkeypatch.setattr(
+        "boxcert.cli.primitive_space_basis",
+        lambda k, cube, c_bodies: [*primitive_space_basis(k, cube, c_bodies), op_from_box(cube, k)],
+    )
+    with pytest.raises(ValueError, match="not primitive"):
+        main(["hodge", "primitive", "--n", "4", "--k", "2", "--format", "json"])
+    assert capsys.readouterr().out == ""
 
 
 def test_hodge_primitive_bad_bounds(capsys):

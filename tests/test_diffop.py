@@ -159,13 +159,13 @@ def test_hr_form_degree_mismatch():
 
 
 def test_hr_check_cross_alpha():
-    value, sign_ok, equality_ok = hr_check(CROSS_ALPHA, unit_cube(4), [])
-    assert value == 4 and sign_ok and equality_ok
+    value, sign_ok, equality_ok, kills_v = hr_check(CROSS_ALPHA, unit_cube(4), [])
+    assert value == 4 and sign_ok and equality_ok and not kills_v
 
 
 def test_hr_check_zero_operator():
-    value, sign_ok, equality_ok = hr_check(SlabOperator(4, 2), unit_cube(4), [])
-    assert value == 0 and sign_ok and equality_ok
+    value, sign_ok, equality_ok, kills_v = hr_check(SlabOperator(4, 2), unit_cube(4), [])
+    assert value == 0 and sign_ok and equality_ok and kills_v
 
 
 def test_hr_check_rejects_non_primitive():
@@ -177,8 +177,8 @@ def test_hr_check_rejects_non_primitive():
 def test_hr_check_on_basis_elements():
     cube = unit_cube(4)
     for op in primitive_space_basis(2, cube, []):
-        value, sign_ok, equality_ok = hr_check(op, cube, [])
-        assert sign_ok and equality_ok and value > 0
+        value, sign_ok, equality_ok, kills_v = hr_check(op, cube, [])
+        assert sign_ok and equality_ok and value > 0 and not kills_v
 
 
 def test_hr_positivity_on_random_primitive_elements():

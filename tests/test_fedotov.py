@@ -6,10 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from boxcert.boxes import BoxBody, unit_cube
+from boxcert.boxes import BoxBody, minkowski_combine, unit_cube
 from boxcert.exactlin import RatMatrix, det, dot, principal_submatrix, rank
 from boxcert.fedotov import (
     Certificate,
+    PipelineError,
     build_matrix,
     certificate_from_json,
     certificate_to_json,
@@ -27,7 +28,9 @@ from boxcert.fedotov import (
     verify_certificate,
     width_classes,
 )
-from boxcert.hypmat import Violation, is_hyperbolic, sylvester_violation, violates_sign
+from boxcert.hypmat import (
+    Violation, is_hyperbolic, sylvester_violation, violates_sign, witness_forms
+)
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import naive_permanent_mixed_volume, random_box
 
@@ -298,6 +301,21 @@ def test_reduction_n6_k3_full():
     assert cert.pair_xx == base.pair_xx > 0
     assert double_polarization_check(base, cert)
     assert verify_certificate(cert).ok
+    cube = unit_cube(6)
+    for (i, delta), body in zip(cert.labels, cert.bodies):
+        pattern = [(delta[0] + delta[1], base.bodies[i]), (sum(delta[2:]), cube)]
+        assert body == minkowski_combine(pattern)
+
+
+def test_builder_checks_the_y_direction_as_the_verifier_does(monkeypatch):
+    base = pipeline_base_k2(6)
+    monkeypatch.setattr(
+        "boxcert.fedotov.witness_forms", lambda *args: (*witness_forms(*args)[:2], F(0))
+    )
+    with pytest.raises(PipelineError, match="<y,My>"):
+        pipeline_base_k2(4)
+    with pytest.raises(PipelineError, match="<y,My>"):
+        reduce_to_general_k(base, 3)
 
 
 def test_random_search_zero_trials():

@@ -31,7 +31,6 @@ from boxcert.hypmat import (
     sylvester_violation,
     witness_forms,
     witness_implies_two_positive,
-    witness_pairings,
 )
 from boxcert.selftest import (
     random_box,
@@ -398,7 +397,7 @@ def test_factored_form_matches_plain_on_pipeline_matrices(pipeline_matrices):
 def test_witness_pairings_match_matvec(pipeline_matrices):
     for fm, x, y in pipeline_matrices:
         mx = fm.matrix.matvec(x)
-        assert witness_pairings(fm.table, fm.classes, x, y) == (dot(y, mx), dot(x, mx))
+        assert witness_forms(fm.table, fm.classes, x, y)[:2] == (dot(y, mx), dot(x, mx))
     rng = random.Random(8)
     for _ in range(30):
         c = rng.randrange(1, 5)
@@ -406,8 +405,9 @@ def test_witness_pairings_match_matvec(pipeline_matrices):
         table = random_symmetric_positive(rng, c)
         x = random_nonneg_vector(rng, len(classes))
         y = random_nonneg_vector(rng, len(classes))
-        mx = class_matrix(table, classes).matvec(x)
-        assert witness_pairings(table, classes, x, y) == (dot(y, mx), dot(x, mx))
+        m = class_matrix(table, classes)
+        mx, my = m.matvec(x), m.matvec(y)
+        assert witness_forms(table, classes, x, y) == (dot(y, mx), dot(x, mx), dot(y, my))
 
 
 def test_factored_form_matches_plain_on_random_tables():
@@ -542,7 +542,6 @@ def test_witness_layer_runs_no_fraction_arithmetic(pipeline_matrices, monkeypatc
 
     def witness_layer():
         return [
-            witness_pairings(fm.table, fm.classes, x, y),
             witness_forms(fm.table, fm.classes, x, y),
             shrink_with_witness(fm.table, fm.classes, x, y),
         ]
