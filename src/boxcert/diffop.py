@@ -13,8 +13,12 @@ rational coefficients. Two operators that differ by a member of the
 annihilator ideal {a : aV = 0} are therefore identified, which is exactly
 the quotient in which the Hodge-Riemann statements live.
 
-``apply_op`` is the one differentiation: a box's degree-1 derivative
-(``derivative_along``) is the operator ``op_from_box(box, 1)`` applied.
+``apply_op`` is the one differentiation, and ``contract`` the one place a
+list of bodies is applied to a polynomial: each distinct body's derivative
+power ``op_from_box(box, count)`` once. A box's degree-1 derivative
+(``derivative_along``) is ``op_from_box(box, 1)`` applied; no code path
+calls it, and it stays as the single-step reference of the tests and the
+benchmark's tracer.
 ``hr_form`` is the one evaluator of the form, and ``hr_check`` the one
 Hodge-Riemann verdict on a primitive operator, which ``hodge primitive``
 and the selftest call.
@@ -23,6 +27,7 @@ and the selftest call.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -199,8 +204,16 @@ def derivative_along(box: BoxBody, p: SlabPolynomial) -> SlabPolynomial:
 
 
 def contract(p: SlabPolynomial, bodies: Sequence[BoxBody]) -> SlabPolynomial:
-    for box in bodies:
-        p = derivative_along(box, p)
+    """D_{K_1} ... D_{K_r} p, for the bodies K_i listed with repeats.
+
+    Equal bodies are grouped: a body listed c times is applied as the one
+    operator ``op_from_box(body, c)``, the squarefree part of D_K^c, which
+    acts on multilinear p as c single derivatives do. The operators commute,
+    so the order of the list does not matter. A body repeated more than n
+    times warns (``op_from_box``) and gives the zero polynomial.
+    """
+    for box, count in Counter(bodies).items():
+        p = apply_op(op_from_box(box, count), p)
     return p
 
 

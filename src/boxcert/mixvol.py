@@ -10,10 +10,10 @@ whole k-fold matrix, whose entries share their auxiliary bodies, is built by
 its own table evaluation in the fedotov module, which calls nothing here.
 
 A second, independent evaluation path goes through the volume polynomial:
-V(K_1[m_1], ..., K_R[m_R]) = (1/n!) D_{K_1}^{m_1} ... D_{K_R}^{m_R} V with
-the derivative operators of the diffop module, each power applied once. The
-two paths cross-check each other in the ``mixvol`` command and the
-self-tests.
+V(K_1[m_1], ..., K_R[m_R]) = (1/n!) D_{K_1}^{m_1} ... D_{K_R}^{m_R} V, the
+constant left by the diffop module's ``contract``, which applies each
+distinct body's power once. The two paths cross-check each other in the
+``mixvol`` command and the self-tests.
 
 Nothing is cached between calls: callers that need many entries evaluate
 each distinct one once themselves.
@@ -30,7 +30,7 @@ from math import factorial
 from typing import Sequence
 
 from .boxes import BoxBody, minkowski_combine
-from .diffop import apply_op, op_from_box, volume_polynomial
+from .diffop import contract, volume_polynomial
 from .exactlin import Rat, integer_row
 
 MAX_DIMENSION = 12
@@ -105,14 +105,13 @@ def mixed_volume(t: BodyTuple) -> Rat:
 
 
 def mixed_volume_via_derivatives(t: BodyTuple) -> Rat:
-    """Exact mixed volume: each entry's power D_K^m applied to V once.
+    """Exact mixed volume: V contracted by every entry's body, m times each.
 
-    Independent of the coefficient path; works on any body tuple.
+    Independent of the coefficient path; works on any body tuple, including
+    one that lists the same box in two entries.
     """
-    p = volume_polynomial(t.n)
-    for box, mult in t.entries:
-        p = apply_op(op_from_box(box, mult), p)
-    return p.constant / factorial(t.n)
+    bodies = [box for box, mult in t.entries for _ in range(mult)]
+    return contract(volume_polynomial(t.n), bodies).constant / factorial(t.n)
 
 
 def af_check(

@@ -80,6 +80,42 @@ def test_apply_matches_iterated_single_derivatives():
         assert via_op == step
 
 
+def _fold_single_derivatives(p, bodies):
+    for box in bodies:
+        p = derivative_along(box, p)
+    return p
+
+
+def test_contract_matches_fold_of_single_derivatives():
+    rng = random.Random(16)
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        pool = [random_box(rng, n) for _ in range(rng.randrange(1, 4))]
+        image = derivative_along(random_box(rng, n), volume_polynomial(n))
+        for p in (volume_polynomial(n), image):
+            bodies = [rng.choice(pool) for _ in range(rng.randrange(0, n))]
+            assert contract(p, bodies) == _fold_single_derivatives(p, bodies)
+
+
+def test_contract_applies_one_operator_per_distinct_body(monkeypatch):
+    a, b = BoxBody(4, (1, 2, 3, 4)), BoxBody(4, (2, 1, F(1, 2), 3))
+    calls = []
+
+    def counting(op, p):
+        calls.append(op.k)
+        return apply_op(op, p)
+
+    monkeypatch.setattr("boxcert.diffop.apply_op", counting)
+    result = contract(volume_polynomial(4), [a, b, a, a])
+    assert sorted(calls) == [1, 3]
+    assert result == _fold_single_derivatives(volume_polynomial(4), [a, b, a, a])
+
+
+def test_contract_past_the_degree_is_zero():
+    with pytest.warns(UserWarning):
+        assert contract(volume_polynomial(3), [unit_cube(3)] * 4).is_zero
+
+
 def test_primitive_space_dimension_n4_k2():
     basis = primitive_space_basis(2, unit_cube(4), [])
     assert len(basis) == 2  # C(4,2) - C(4,1)

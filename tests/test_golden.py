@@ -56,6 +56,11 @@ GOLDEN = {
         ["fedotov", "construct", "--n", "10", "--k", "5", "--format", "json"],
         "5cbff8694be4ef6dcc4578b50e968e86dc624ce05f6eeba4c0ed3541aa05de13",
     ),
+    # the 12-dimensional k = 2 base: the contractions of its primitive space
+    "construct-12-4-json": (
+        ["fedotov", "construct", "--n", "12", "--k", "4", "--format", "json"],
+        "e5052d04673bd14aa40a4002f1d57f67f1dab67b6c82bd6cbaaa0ebe32cdc424",
+    ),
     "verify-6-3": (
         ["fedotov", "verify", "{cert_6_3}"],
         "7e5deecda7d12bc3d2cc0e3bb8ee64f9412dfad9ad77c692abf757c9887f8450",

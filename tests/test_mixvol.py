@@ -145,6 +145,13 @@ def test_derivative_path_agrees_on_random_tuples():
         assert mixed_volume(t) == mixed_volume_via_derivatives(t)
 
 
+def test_derivative_path_merges_a_box_listed_in_two_entries():
+    a, b = BoxBody(4, (1, 2, F(3, 2), 5)), BoxBody(4, (2, F(1, 3), 1, 4))
+    t = BodyTuple(4, ((a, 2), (b, 1), (a, 1)))
+    assert mixed_volume_via_derivatives(t) == mixed_volume(t)
+    assert mixed_volume(t) == mixed_volume(BodyTuple(4, ((a, 3), (b, 1))))
+
+
 def test_af_equal_bodies():
     k = BoxBody(3, (1, 2, 3))
     lhs, rhs, holds = af_check(k, k, [unit_cube(3)])
