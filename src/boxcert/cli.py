@@ -36,8 +36,8 @@ from math import comb
 from typing import Optional
 
 from .boxes import BoxBody, box_from_widths, unit_cube
-from .diffop import h_vector_cube, hr_check, op_to_json, pairing_matrix, primitive_space_basis
-from .exactlin import json_int, json_list, rank, rat_to_str, rats_from_json
+from .diffop import h_vector_cube, hr_check, hr_signature, op_to_json, primitive_space_basis
+from .exactlin import json_int, json_list, rat_to_str, rats_from_json
 from .fedotov import (
     certificate_to_json,
     construct_counterexample,
@@ -302,10 +302,12 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
     c_bodies = [cube] * (n - 2 * k)
     basis = primitive_space_basis(k, cube, c_bodies)
     expected_dim = comb(n, k) - comb(n, k - 1)
-    pairing_rank = rank(pairing_matrix(n, k))
+    pairing, signature_ok = hr_signature(n, k, basis)
+    pairing_rank = pairing.n_pos + pairing.n_neg
     elements = []
-    # the counts, and per element the Hodge-Riemann verdict
-    ok = len(basis) == expected_dim and pairing_rank == comb(n, k)
+    # the dimension, the signature (which fixes the rank at h_k = C(n, k)),
+    # and per element the Hodge-Riemann verdict
+    ok = len(basis) == expected_dim and signature_ok
     for op in basis:
         value, signed_ok, equality_ok, kills = hr_check(op, cube, c_bodies)
         ok &= signed_ok and equality_ok

@@ -21,7 +21,10 @@ calls it, and it stays as the single-step reference of the tests and the
 benchmark's tracer.
 ``hr_form`` is the one evaluator of the form, and ``hr_check`` the one
 Hodge-Riemann verdict on a primitive operator, which ``hodge primitive``
-and the selftest call.
+and the selftest call. ``hr_signature`` is the one signature verdict they
+both call: the exact inertia of the degree-k pairing against the
+h-vector's Hodge-Riemann signature, and the definiteness of the pairing
+on the primitive span (``primitive_gram``), each by one ``inertia``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,17 @@ from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from .boxes import BoxBody, unit_cube
-from .exactlin import Rat, RatMatrix, nullspace_basis, rat, rat_to_str
+from .exactlin import (
+    Inertia,
+    Rat,
+    RatMatrix,
+    inertia,
+    integer_matrix,
+    integer_row,
+    nullspace_basis,
+    rat,
+    rat_to_str,
+)
 
 Subset = tuple[int, ...]
 
@@ -390,6 +403,54 @@ def pairing_matrix(n: int, k: int) -> RatMatrix:
     q = contract(volume_polynomial(n), [unit_cube(n)] * (n - 2 * k))
     subsets = list(combinations(range(n), k))
     return _union_coefficients(q, subsets, subsets)
+
+
+def primitive_gram(
+    n: int, k: int, basis: Sequence[SlabOperator], pairing: RatMatrix
+) -> tuple[RatMatrix, list[int]]:
+    """(G, scales): G = B P B^T, the Gram matrix of ``pairing`` on ``basis``.
+
+    ``pairing`` is P = ``pairing_matrix(n, k)``. Row i of B is basis[i]'s
+    coefficients over the k-subsets, scaled to integers by scales[i]
+    (``integer_row``). A positive row scaling is a congruence, so G has the
+    inertia of the basis' own Gram matrix, and G[i, i] / scales[i]^2 is the
+    form value of basis[i]. The products run on P scaled once to integers,
+    over its nonzero entries (the disjoint pairs); P is symmetric, so its
+    rows serve as its columns.
+    """
+    subsets = list(combinations(range(n), k))
+    scaled = [integer_row([op.coeff(s) for s in subsets]) for op in basis]
+    rows = [z for z, _ in scaled]
+    a, den = integer_matrix(pairing)
+    nonzero = [[(s, x) for s, x in enumerate(row) if x] for row in a]
+    bp = [[sum(b[s] * x for s, x in nz) for nz in nonzero] for b in rows]
+    gram = [[Fraction(sum(x * y for x, y in zip(u, b)), den) for b in rows] for u in bp]
+    return RatMatrix(gram), [d for _, d in scaled]
+
+
+def hr_signature(n: int, k: int, basis: Sequence[SlabOperator]) -> tuple[Inertia, bool]:
+    """(inertia of ``pairing_matrix(n, k)``, the Hodge-Riemann signature verdict).
+
+    ``basis`` spans the degree-k primitive operators of the cube. The
+    verdict holds when both exact inertias read as the relations state:
+    (a) the degree-k operators are the sum of L^(k-j) P_j over j <= k, with
+        dim P_j = h_j - h_(j-1) and the pairing (-1)^j-definite on each, so
+        the pairing reads n_pos = the sum over even j, n_neg = the sum over
+        odd j, and n_zero = 0;
+    (b) the pairing is (-1)^k-definite on the span of ``basis``: the inertia
+        of ``primitive_gram`` is (|basis|, 0, 0) for even k and
+        (0, |basis|, 0) for odd k.
+    """
+    pairing = pairing_matrix(n, k)
+    found = inertia(pairing)
+    h = h_vector_cube(n)
+    dims = [h[j] - (h[j - 1] if j else 0) for j in range(k + 1)]
+    size = len(basis)
+    definite = Inertia(size, 0, 0) if k % 2 == 0 else Inertia(0, size, 0)
+    ok = found == Inertia(sum(dims[0::2]), sum(dims[1::2]), 0) and (
+        inertia(primitive_gram(n, k, basis, pairing)[0]) == definite
+    )
+    return found, ok
 
 
 def op_to_json(a: SlabOperator) -> dict:

@@ -22,11 +22,11 @@ from .diffop import (
     express_as_powers,
     hr_check,
     hr_form,
+    hr_signature,
     op_from_box,
-    pairing_matrix,
     primitive_space_basis,
 )
-from .exactlin import RatMatrix, det, dot, inertia, principal_submatrix, rank
+from .exactlin import RatMatrix, det, dot, inertia, principal_submatrix
 from .fedotov import (
     DEFAULT_SEARCH_GRID,
     build_matrix,
@@ -242,7 +242,7 @@ def suite_equality_witness(rng: random.Random, count: int) -> tuple[bool, str]:
 
 
 def suite_diffop(rng: random.Random, hr_count: int) -> tuple[bool, str]:
-    """Dimension/rank counts, quadratic-form sign, power-expression roundtrip."""
+    """Dimension counts, pairing signature, quadratic-form sign, power-expression roundtrip."""
     dims = (4, 5)
     for n in dims:
         cube = unit_cube(n)
@@ -251,8 +251,8 @@ def suite_diffop(rng: random.Random, hr_count: int) -> tuple[bool, str]:
             basis = primitive_space_basis(k, cube, c_bodies)
             if len(basis) != comb(n, k) - comb(n, k - 1):
                 return False, f"primitive dimension wrong at n={n}, k={k}"
-            if rank(pairing_matrix(n, k)) != comb(n, k):
-                return False, f"pairing rank wrong at n={n}, k={k}"
+            if not hr_signature(n, k, basis)[1]:
+                return False, f"pairing signature wrong at n={n}, k={k}"
             for trial in range(hr_count):
                 coeffs = [rng.choice([Fraction(a) for a in range(-3, 4)]) for _ in basis]
                 alpha = SlabOperator(n, k)

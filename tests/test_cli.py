@@ -1,11 +1,20 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
+from boxcert.boxes import unit_cube
 from boxcert.cli import main
-from boxcert.diffop import hr_form, op_from_box, primitive_space_basis
+from boxcert.diffop import (
+    hr_form,
+    hr_signature,
+    op_from_box,
+    pairing_matrix,
+    primitive_space_basis,
+)
+from boxcert.exactlin import Inertia, RatMatrix
 from boxcert.fedotov import certificate_to_json, construct_counterexample_k2
 
 RUN = [sys.executable, "-m", "boxcert.cli"]
@@ -113,6 +122,32 @@ def test_hodge_primitive_exit_status_covers_the_form_values(capsys, monkeypatch)
     assert data["ok"] is False
     assert data["dimension"] == data["expected_dimension"]
     assert not all(e["signed_value_nonneg"] for e in data["basis"])
+
+
+@pytest.mark.parametrize(
+    "n, k, negated",
+    [
+        # the signature (3, 3) is symmetric: only definiteness on the span catches it
+        (4, 2, Inertia(3, 3, 0)),
+        # the h-vector predicts (6, 4): the signature catches it too
+        (5, 2, Inertia(4, 6, 0)),
+    ],
+)
+def test_hodge_primitive_exit_status_covers_the_signature(capsys, monkeypatch, n, k, negated):
+    monkeypatch.setattr(
+        "boxcert.diffop.pairing_matrix",
+        lambda n, k: RatMatrix([[-x for x in row] for row in pairing_matrix(n, k).entries]),
+    )
+    cube = unit_cube(n)
+    basis = primitive_space_basis(k, cube, [cube] * (n - 2 * k))
+    assert hr_signature(n, k, basis) == (negated, False)
+    assert main(["hodge", "primitive", "--n", str(n), "--k", str(k), "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["pairing_rank"] == data["expected_pairing_rank"] == comb(n, k)
+    assert data["dimension"] == data["expected_dimension"]
+    # hr_form is untouched, so every element's own verdict still holds
+    assert all(e["signed_value_nonneg"] for e in data["basis"])
 
 
 def test_hodge_primitive_checks_every_element_for_primitivity(capsys, monkeypatch):

@@ -16,16 +16,18 @@ from boxcert.diffop import (
     h_vector_cube,
     hr_check,
     hr_form,
+    hr_signature,
     is_primitive,
     op_add,
     op_from_box,
     op_scale,
     op_to_json,
     pairing_matrix,
+    primitive_gram,
     primitive_space_basis,
     volume_polynomial,
 )
-from boxcert.exactlin import RatMatrix, rank
+from boxcert.exactlin import Inertia, RatMatrix, inertia, rank
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import random_box
 
@@ -238,6 +240,39 @@ def test_pairing_rank_equals_h_entry():
     for n in (4, 5, 6):
         for k in range(1, n // 2 + 1):
             assert rank(pairing_matrix(n, k)) == comb(n, k)
+
+
+def test_pairing_inertia_is_the_hodge_riemann_signature():
+    # degree k is the sum of L^(k-j) P_j, dim P_j = C(n,j) - C(n,j-1), (-1)^j-definite
+    for n in range(2, 9):
+        for k in range(1, n // 2 + 1):
+            dims = [comb(n, j) - (comb(n, j - 1) if j else 0) for j in range(k + 1)]
+            expected = Inertia(sum(dims[0::2]), sum(dims[1::2]), 0)
+            assert inertia(pairing_matrix(n, k)) == expected
+            cube = unit_cube(n)
+            basis = primitive_space_basis(k, cube, [cube] * (n - 2 * k))
+            assert hr_signature(n, k, basis) == (expected, True)
+
+
+def test_hr_signature_compares_with_the_h_vector(monkeypatch):
+    # a wrong prediction alone fails the verdict, with the span still definite
+    cube = unit_cube(5)
+    basis = primitive_space_basis(2, cube, [cube])
+    monkeypatch.setattr("boxcert.diffop.h_vector_cube", lambda n: [1] * (n + 1))
+    assert hr_signature(5, 2, basis) == (Inertia(6, 4, 0), False)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 4)])
+def test_primitive_gram_diagonal_is_the_form_value(n, k):
+    cube = unit_cube(n)
+    c_bodies = [cube] * (n - 2 * k)
+    basis = primitive_space_basis(k, cube, c_bodies)
+    gram, scales = primitive_gram(n, k, basis, pairing_matrix(n, k))
+    assert gram.rows == len(basis) and gram.is_symmetric
+    for i, (op, d) in enumerate(zip(basis, scales)):
+        assert gram[i, i] / d**2 == hr_check(op, cube, c_bodies)[0]
+    definite = Inertia(len(basis), 0, 0) if k % 2 == 0 else Inertia(0, len(basis), 0)
+    assert inertia(gram) == definite
 
 
 def test_pairing_matrix_is_hr_form_gram():

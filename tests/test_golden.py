@@ -129,6 +129,10 @@ GOLDEN = {
         ["hodge", "primitive", "--n", "6", "--k", "3", "--format", "json"],
         "2aa074289802ff9576504b36039464539735ed6bcb540f8e00527129f64157aa",
     ),
+    "hodge-primitive-8-4-json": (
+        ["hodge", "primitive", "--n", "8", "--k", "4", "--format", "json"],
+        "ecd8ff3452c334c4c3595626dc4a9a9a626d4f9bd4571ad8b5f4af0276cc873d",
+    ),
     "selftest": (
         ["selftest"],
         "0bf2abae02732f4268ff519215290171a1f5c7b759155daa40efdb1658452963",
