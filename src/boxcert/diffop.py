@@ -15,16 +15,16 @@ the quotient in which the Hodge-Riemann statements live.
 
 ``apply_op`` is the one differentiation, and ``contract`` the one place a
 list of bodies is applied to a polynomial: each distinct body's derivative
-power ``op_from_box(box, count)`` once. A box's degree-1 derivative
-(``derivative_along``) is ``op_from_box(box, 1)`` applied; no code path
-calls it, and it stays as the single-step reference of the tests and the
-benchmark's tracer.
-``hr_form`` is the one evaluator of the form, and ``hr_check`` the one
-Hodge-Riemann verdict on a primitive operator, which ``hodge primitive``
-and the selftest call. ``hr_signature`` is the one signature verdict they
-both call: the exact inertia of the degree-k pairing against the
-h-vector's Hodge-Riemann signature, and the definiteness of the pairing
-on the primitive span (``primitive_gram``), each by one ``inertia``.
+power ``op_from_box(box, count)`` once. ``derivative_along``, a box's
+degree-1 derivative, has no caller; it is the single-step reference of the
+tests and the benchmark's tracer. ``hr_form`` is the one evaluator of the
+form, ``hr_check`` the one Hodge-Riemann verdict on a primitive operator,
+and ``hr_signature`` the one signature verdict (the pairing's exact
+inertia against the h-vector, and its definiteness on the primitive span,
+``primitive_gram``); ``hodge primitive`` and the selftest read the last
+two. As d^S V = s_{[n] - S}, an operator kills V exactly when it is zero.
+``polarization_signs`` is the one sign rule of the polarization formula,
+which ``express_as_powers``, the mixvol check and the fedotov lift read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -309,15 +309,14 @@ def hr_check(
     Returns (value, sign_ok, equality_ok, kills_v): value is
     a*a*prod D_{C_i} V (``hr_form``), sign_ok checks (-1)^k * value >= 0,
     kills_v whether the operator kills V, and equality_ok that value = 0
-    exactly when it does. An operator that is not primitive for
+    exactly when it does (when a = 0). An operator that is not primitive for
     (reference, c_bodies) raises ValueError.
     """
     if not is_primitive(a, reference, c_bodies):
         raise ValueError("operator is not primitive for the given bodies")
     value = hr_form(a, a, c_bodies)
     sign_ok = (-1) ** a.k * value >= 0
-    kills_v = apply_op(a, volume_polynomial(a.n)).is_zero
-    return value, sign_ok, (value == 0) == kills_v, kills_v
+    return value, sign_ok, (value == 0) == a.is_zero, a.is_zero
 
 
 @dataclass(frozen=True)
@@ -346,6 +345,14 @@ def _lagrange_weights_at_zero(points: Sequence[int]) -> list[Rat]:
     return weights
 
 
+def polarization_signs(k: int) -> list[tuple[tuple[int, ...], int]]:
+    """(delta, (-1)^(k + |delta|)) over the nonzero 0/1 patterns of length k,
+    lexicographically: the terms of k! D_{R_1} ... D_{R_k} = sum_delta
+    (-1)^(k + |delta|) (D_{delta . R})^k (the zero pattern's power is 0).
+    """
+    return [(d, (-1) ** (k + sum(d))) for d in product((0, 1), repeat=k)][1:]
+
+
 def express_as_powers(a: SlabOperator) -> PowerCombination:
     """Write a degree-k operator as sum_i x_i (D_{K_i})^k, K_i nondegenerate.
 
@@ -363,14 +370,12 @@ def express_as_powers(a: SlabOperator) -> PowerCombination:
         return PowerCombination(k, ())
     shifts = list(range(1, k + 2))
     weights = _lagrange_weights_at_zero(shifts)
-    inv_fact = Fraction(1, factorial(k))
+    signs = polarization_signs(k)
     combo: dict[tuple[Rat, ...], Rat] = {}
-    for s in sorted(a.terms):
-        c = a.terms[s]
-        for bits in range(1, 1 << k):
-            chosen = [s[r] for r in range(k) if bits >> r & 1]
-            sign = -1 if (k + len(chosen)) % 2 else 1
-            base = c * sign * inv_fact
+    for s, c in a.terms.items():
+        for delta, sign in signs:
+            chosen = {j for j, d in zip(s, delta) if d}
+            base = c * sign / factorial(k)
             for t, weight in zip(shifts, weights):
                 widths = tuple(
                     Fraction(t + 1) if j in chosen else Fraction(t) for j in range(n)

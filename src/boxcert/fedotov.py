@@ -10,6 +10,8 @@ squares of box derivatives, vectors x, y >= 0 with <x, My> = 0 and
 matrices, runs the pipeline at k = 2, lifts it to any k > 2 by double
 polarization, hunts for direct violations at random, and independently
 re-verifies emitted certificates with the coordinate DP of the mixvol module.
+The builder checks the witness claims in one place for the base and the
+lift, and the lift reads its signs from ``polarization_signs``.
 
 A matrix is built as its table over width classes in one integer pass:
 every entry shares the auxiliary bodies C, so their permanent on every
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 from math import factorial
 from operator import add, lshift, mul
 from typing import Callable, Optional, Sequence
@@ -35,12 +38,11 @@ from typing import Callable, Optional, Sequence
 from .boxes import BoxBody, box_from_widths, unit_cube
 from .diffop import (
     SlabOperator,
-    apply_op,
     express_as_powers,
     hr_form,
     op_to_json,
+    polarization_signs,
     primitive_space_basis,
-    volume_polynomial,
 )
 from .exactlin import (
     Rat,
@@ -151,11 +153,9 @@ def _kfold_table(
     """
     bit = [1 << t for t in range(n)]
     full = (1 << n) - 1
-    c_reps, c_classes = width_classes(c_bodies)
     permanents = {0: 1}
     c_den, scale = 1, factorial(k) ** 2
-    for i, c in enumerate(c_reps):
-        mu = c_classes.count(i)
+    for c, mu in Counter(c_bodies).items():
         row, d = integer_row(c.widths)
         c_den *= d**mu
         scale *= factorial(mu)
@@ -339,15 +339,28 @@ def _check(condition: bool, message: str) -> None:
         raise PipelineError(message)
 
 
+def _witness_claims(
+    fm: FedotovMatrix, x, y, expected: Rat, form: str, source: str, bad_xy: str
+) -> tuple[Rat, Rat]:
+    """(<x,My>, <x,Mx>), once the verifier's claims <x,My> = 0,
+    <x,Mx> = expected > 0 and <y,My> > 0 hold; the strings word the errors.
+    """
+    pair_xy, pair_xx, pair_yy = witness_forms(fm.table, fm.classes, x, y)
+    _check(pair_xy == 0, bad_xy.format(pair_xy))
+    _check(pair_xx == expected, f"{form} {pair_xx} differs from {source} {expected}")
+    _check(pair_xx > 0, f"{form} is not strictly positive")
+    _check(pair_yy > 0, f"{form} <y,My> is not strictly positive")
+    return pair_xy, pair_xx
+
+
 def pipeline_base_k2(n: int) -> PipelineData:
     """Degree-2 primitive data: bodies, x, y and the k = 2 matrix in R^n.
 
-    Steps: pick the first degree-2 primitive basis operator whose action on
-    V is nonzero (strictness of the quadratic form is then automatic),
-    expand it into pure squares of nondegenerate box derivatives, append
-    the cube with coefficient 0, and verify the two defining identities
-    <x, My> = 0 and <x, Mx> = alpha^2 (D_cube)^{n-4} V / n! > 0 exactly,
-    and <y, My> > 0, the verifier's three claims.
+    Steps: pick the first degree-2 primitive basis operator (nonzero, so
+    aV != 0 and the quadratic form is strict), expand it into pure squares
+    of nondegenerate box derivatives, append the cube with coefficient 0,
+    and verify <x, My> = 0, <x, Mx> = alpha^2 (D_cube)^{n-4} V / n! > 0 and
+    <y, My> > 0 exactly, the verifier's three claims.
     """
     if n < 4:
         raise ValueError("the degree-2 construction needs n >= 4")
@@ -355,9 +368,7 @@ def pipeline_base_k2(n: int) -> PipelineData:
     c_bodies = tuple([cube] * (n - 4))
     basis = primitive_space_basis(2, cube, c_bodies)
     _check(bool(basis), "primitive space is trivial")
-    v_poly = volume_polynomial(n)
-    alpha = next((a for a in basis if not apply_op(a, v_poly).is_zero), None)
-    _check(alpha is not None, "no primitive operator acts nontrivially on V")
+    alpha = basis[0]
     powers = express_as_powers(alpha)
     _check(
         powers.to_operator(n) == alpha,
@@ -371,18 +382,12 @@ def pipeline_base_k2(n: int) -> PipelineData:
     x = tuple(c for c, _ in powers.terms) + (Fraction(0),)
     y = tuple(Fraction(0) for _ in powers.terms) + (Fraction(1),)
     fm = build_matrix(bodies, 2, c_bodies)
-    pair_xy, pair_xx, pair_yy = witness_forms(fm.table, fm.classes, x, y)
-    _check(pair_xy == 0, f"primitivity pairing is {pair_xy}, expected 0")
     expected = hr_form(alpha, alpha, c_bodies) / factorial(n)
-    _check(
-        pair_xx == expected,
-        f"quadratic form {pair_xx} differs from operator value {expected}",
+    pairs = _witness_claims(
+        fm, x, y, expected, "quadratic form", "operator value",
+        "primitivity pairing is {}, expected 0",
     )
-    _check(pair_xx > 0, "quadratic form is not strictly positive")
-    _check(pair_yy > 0, "quadratic form <y,My> is not strictly positive")
-    return PipelineData(
-        n, alpha, bodies, x, y, c_bodies, fm, pair_xy, pair_xx
-    )
+    return PipelineData(n, alpha, bodies, x, y, c_bodies, fm, *pairs)
 
 
 def construct_counterexample_k2(n: int) -> Certificate:
@@ -400,11 +405,6 @@ def construct_counterexample_k2(n: int) -> Certificate:
     )
 
 
-def _deltas(k: int) -> list[tuple[int, ...]]:
-    """Nonzero 0/1 patterns of length k in lexicographic order."""
-    return list(product((0, 1), repeat=k))[1:]
-
-
 def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     """Lift the k = 2 violation to degree k via double polarization.
 
@@ -420,7 +420,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     if k < 2 or 2 * k > n:
         raise ValueError(f"need 2 <= k <= n/2, got k={k}, n={n}")
     cube = unit_cube(n)
-    deltas = _deltas(k)
+    signs = polarization_signs(k)
     inv_kfact = Fraction(1, factorial(k))
     labels = []
     bodies = []
@@ -430,30 +430,22 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     y_delta = (1,) + (0,) * (k - 1)
     for i in range(m_plus):
         widths = base.bodies[i].widths
-        for delta in deltas:
+        for delta, sign in signs:
             a, b = delta[0] + delta[1], sum(delta[2:])
             body = BoxBody(n, tuple(a * w + b for w in widths))
             _check(body.is_nondegenerate, f"degenerate lifted body at {(i, delta)}")
             labels.append((i, delta))
             bodies.append(body)
-            sign = -1 if (k + sum(delta)) % 2 else 1
             x_t.append(sign * base.x[i] * inv_kfact)
             y_t.append(
                 Fraction(1) if (i == m_plus - 1 and delta == y_delta) else Fraction(0)
             )
     c_bodies = tuple([cube] * (n - 2 * k))
     fm = build_matrix(bodies, k, c_bodies)
-    pair_xy, pair_xx, pair_yy = witness_forms(fm.table, fm.classes, x_t, y_t)
-    _check(
-        pair_xy == base.pair_xy == 0,
-        f"lifted pairing {pair_xy} differs from base {base.pair_xy}",
+    pairs = _witness_claims(
+        fm, x_t, y_t, base.pair_xx, "lifted quadratic form", "base",
+        "lifted pairing {} differs from base 0",
     )
-    _check(
-        pair_xx == base.pair_xx,
-        f"lifted quadratic form {pair_xx} differs from base {base.pair_xx}",
-    )
-    _check(pair_xx > 0, "lifted quadratic form is not strictly positive")
-    _check(pair_yy > 0, "lifted quadratic form <y,My> is not strictly positive")
     violation = find_violation(fm.table, fm.classes, witness=(x_t, y_t))
     trace = {
         "mode": "reduction",
@@ -462,7 +454,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
         "alpha": op_to_json(base.alpha),
         "shifts": [1, 2, 3],
     }
-    return _certificate(fm, labels, x_t, y_t, (pair_xy, pair_xx), violation, trace)
+    return _certificate(fm, labels, x_t, y_t, pairs, violation, trace)
 
 
 def construct_counterexample(n: int, k: int) -> Certificate:
@@ -485,10 +477,10 @@ def double_polarization_check(base: PipelineData, cert: Certificate) -> bool:
     """
     k = cert.k
     scale = Fraction(1, factorial(k) ** 2)
+    signs = dict(polarization_signs(k))
     positions: dict[int, list[tuple[int, int]]] = {}
     for pos, (i, delta) in enumerate(cert.labels):
-        sign = -1 if (k + sum(delta)) % 2 else 1
-        positions.setdefault(i, []).append((pos, sign))
+        positions.setdefault(i, []).append((pos, signs[delta]))
     fm = base.fedotov
     for i in range(fm.m):
         for j in range(i, fm.m):
@@ -562,8 +554,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     <x,My> = 0 and <x,Mx> > 0 with <y,My> > 0 (a positive-definite Gram
     matrix of x and y, so the form is positive on a plane), all three from
     one integer scaling of the table (``witness_forms``), and det M_I,
-    recomputed by fraction-free elimination, with its sign condition.
-    Bounds are checked before any arithmetic.
+    recomputed by fraction-free elimination, with its sign condition. With
+    no witness, both stored pairings must be null. Bounds come first.
     """
 
     def fail(reason: str) -> VerificationReport:
@@ -589,8 +581,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if not box.is_nondegenerate:
             return fail("degenerate body in certificate")
     reps, classes = width_classes(cert.bodies)
-    c_reps, c_classes = width_classes(cert.c_bodies)
-    tail = tuple((c, c_classes.count(r)) for r, c in enumerate(c_reps))
+    tail = tuple(Counter(cert.c_bodies).items())
 
     def entry(a: int, b: int) -> Rat:
         pair = ((reps[a], 2 * k),) if a == b else ((reps[a], k), (reps[b], k))
@@ -607,8 +598,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 return fail("matrix is not entrywise positive")
             j = next(j for j in range(size) if row[j] != expected[j])
             return fail(f"matrix entry ({i},{j}) is {row[j]}, recomputed {expected[j]}")
-        # equal by value; the later rows of an honest class share its entry
-        # objects, so they compare by identity
         expected_rows[classes[i]] = row
     if not table.is_positive:
         return fail("matrix is not entrywise positive")
@@ -616,14 +605,18 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if len(cert.x) != size or len(cert.y) != size:
             return fail("witness vector dimension mismatch")
         pair_xy, pair_xx, pair_yy = witness_forms(table, classes, cert.x, cert.y)
-        if pair_xy != 0 or cert.pair_xy != 0:
+        if pair_xy != 0:
             return fail(f"pairing <x,My> is {pair_xy}, expected 0")
+        if cert.pair_xy != 0:
+            return fail(f"stored <x,My> is {cert.pair_xy}, expected 0")
         if pair_xx != cert.pair_xx:
             return fail("stored <x,Mx> does not match recomputation")
         if pair_xx <= 0:
             return fail("quadratic form <x,Mx> is not strictly positive")
         if pair_yy <= 0:
             return fail("quadratic form <y,My> is not strictly positive")
+    elif cert.pair_xy is not None or cert.pair_xx is not None:
+        return fail("stored pairings without a witness must be null")
     subset = cert.subset
     if not subset:
         return fail("empty violating subset")

@@ -18,7 +18,8 @@ law of inertia every inertia is taken on T_C.
 Everything on the certification path is exact. The witness layer
 (``witness_forms``, ``shrink_with_witness``) scales the c x c table once to
 integers, and x and y once each, and divides only where it returns a form
-value. ``violates_sign`` is the one minor-sign rule, which the verifier's
+value; ``af_form_check`` and ``equality_witness`` read their pairings
+from ``witness_forms`` too. ``violates_sign`` is the one minor-sign rule, which the verifier's
 det M_I check also reads, and ``is_hyperbolic`` the one hyperbolicity test,
 which ``random_search`` asks before it enumerates.
 """
@@ -35,7 +36,6 @@ from .exactlin import (
     RatMatrix,
     bareiss,
     det,
-    dot,
     inertia,
     integer_matrix,
     integer_row,
@@ -249,13 +249,10 @@ def af_form_check(m: RatMatrix, x: Sequence[Rat], y: Sequence[Rat]) -> bool:
     """Exact check of <x, My>^2 >= <x, Mx><y, My> for x, y >= 0."""
     if not m.is_symmetric:
         raise ValueError("matrix must be symmetric")
-    if len(x) != m.rows or len(y) != m.rows:
-        raise ValueError("vector dimension mismatch")
     if any(v < 0 for v in x) or any(v < 0 for v in y):
         raise ValueError("vectors must be componentwise nonnegative")
-    mx = m.matvec(x)
-    my = m.matvec(y)
-    return dot(x, my) ** 2 >= dot(x, mx) * dot(y, my)
+    pair_xy, pair_xx, pair_yy = witness_forms(m, range(m.rows), x, y)
+    return pair_xy**2 >= pair_xx * pair_yy
 
 
 def equality_witness(m: RatMatrix) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
@@ -287,9 +284,8 @@ def equality_witness(m: RatMatrix) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
     # independence: x = z + b*y with z not proportional to y
     if all(x[i] * y[j] == x[j] * y[i] for i in range(size) for j in range(size)):
         raise AssertionError("witness vectors are proportional")
-    mx = m.matvec(x)
-    my = m.matvec(y)
-    if dot(x, my) ** 2 != dot(x, mx) * dot(y, my):
+    pair_xy, pair_xx, pair_yy = witness_forms(m, range(size), x, y)
+    if pair_xy**2 != pair_xx * pair_yy:
         raise AssertionError("witness does not satisfy the equality")
     return x, y
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import factorial
 from typing import Sequence
 
 from .boxes import BoxBody, minkowski_combine
-from .diffop import contract, volume_polynomial
+from .diffop import contract, polarization_signs, volume_polynomial
 from .exactlin import Rat, integer_row
 
 MAX_DIMENSION = 12
@@ -154,9 +153,8 @@ def polarization_identity_check(
     """Check the polarization formula on k leading slots.
 
     lhs = V(R_1, ..., R_k, tail), rhs = (1/k!) * sum over nonzero sign
-    patterns delta of (-1)^(k + |delta|) V((delta . R)[k], tail). The
-    all-zero pattern is skipped: its body is a point, so its mixed volumes
-    vanish.
+    patterns delta of (-1)^(k + |delta|) V((delta . R)[k], tail), the terms
+    of ``polarization_signs``.
     """
     k = len(r_bodies)
     if k < 1:
@@ -168,11 +166,8 @@ def polarization_identity_check(
         raise ValueError(f"tail multiplicities sum to {tail_total}, expected {n - k}")
     lhs = mixed_volume(BodyTuple(n, tuple((r, 1) for r in r_bodies) + tail))
     rhs = Fraction(0)
-    for delta in product((0, 1), repeat=k):
-        if not any(delta):
-            continue
+    for delta, sign in polarization_signs(k):
         combined = minkowski_combine(list(zip(delta, r_bodies)))
-        sign = -1 if (k + sum(delta)) % 2 else 1
         rhs += sign * mixed_volume(BodyTuple(n, ((combined, k),) + tail))
     rhs /= factorial(k)
     return lhs, rhs, lhs == rhs

@@ -15,7 +15,7 @@ from boxcert.diffop import (
     primitive_space_basis,
 )
 from boxcert.exactlin import Inertia, RatMatrix
-from boxcert.fedotov import certificate_to_json, construct_counterexample_k2
+from boxcert.fedotov import certificate_to_json, construct_counterexample_k2, random_search
 
 RUN = [sys.executable, "-m", "boxcert.cli"]
 
@@ -327,6 +327,26 @@ def test_verify_rejects_json_float(tmp_path, capsys, cert_n4_data, field):
     assert _verify_data(tmp_path, data) == 1
     out = capsys.readouterr().out
     assert out.startswith("certificate INVALID: malformed: ") and "float" in out
+
+
+@pytest.mark.parametrize("stored, shown", [("1", "1"), (None, "None")])
+def test_verify_reports_the_stored_pairing(tmp_path, capsys, cert_n4_data, stored, shown):
+    # the recomputed <x,My> is 0, so the reason names the stored value
+    assert _verify_data(tmp_path, dict(cert_n4_data, pair_xy=stored)) == 1
+    assert capsys.readouterr().out == f"certificate INVALID: stored <x,My> is {shown}, expected 0\n"
+
+
+@pytest.mark.parametrize(
+    "pairs", [{"pair_xy": "5", "pair_xx": "-3"}, {"pair_xy": "0"}, {"pair_xx": "1"}]
+)
+def test_verify_rejects_stored_pairings_without_a_witness(tmp_path, capsys, pairs):
+    cert, _ = random_search(4, 2, 4, 100, seed=7)
+    data = json.loads(certificate_to_json(cert))
+    assert data["x"] == data["y"] == [] and _verify_data(tmp_path, data) == 0
+    capsys.readouterr()
+    assert _verify_data(tmp_path, dict(data, **pairs)) == 1
+    reason = "stored pairings without a witness must be null"
+    assert capsys.readouterr().out == f"certificate INVALID: {reason}\n"
 
 
 def test_verify_dimension_beyond_envelope_exits_1(tmp_path, capsys):

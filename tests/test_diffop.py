@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -23,6 +23,7 @@ from boxcert.diffop import (
     op_scale,
     op_to_json,
     pairing_matrix,
+    polarization_signs,
     primitive_gram,
     primitive_space_basis,
     volume_polynomial,
@@ -206,6 +207,22 @@ def test_hr_check_zero_operator():
     assert value == 0 and sign_ok and equality_ok and kills_v
 
 
+def test_an_operator_kills_v_exactly_when_it_is_zero():
+    # d^S V = s_{[n] - S}, distinct monomials for distinct S, so hr_check's
+    # kills_v is a.is_zero
+    rng = random.Random(19)
+    for n in range(1, 8):
+        v = volume_polynomial(n)
+        for k in range(n + 1):
+            subsets = list(combinations(range(n), k))
+            for _ in range(12):
+                chosen = rng.sample(subsets, rng.randrange(len(subsets) + 1))
+                terms = {s: F(rng.randrange(-3, 4), rng.randrange(1, 4)) for s in chosen}
+                a = SlabOperator(n, k, terms)
+                assert apply_op(a, v).is_zero == a.is_zero
+            assert apply_op(SlabOperator(n, k), v).is_zero
+
+
 def test_hr_check_rejects_non_primitive():
     bad = SlabOperator(4, 2, {(0, 1): 1})
     with pytest.raises(ValueError):
@@ -297,6 +314,12 @@ def test_hr_form_consistent_with_mixed_volume():
             BodyTuple(n, ((a_body, k), (b_body, k)) + tuple((c, 1) for c in c_bodies))
         )
         assert form == factorial(n) * mv
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_polarization_signs_are_the_nonzero_patterns(k):
+    patterns = list(product((0, 1), repeat=k))[1:]
+    assert polarization_signs(k) == [(d, (-1) ** (k + sum(d))) for d in patterns]
 
 
 def test_express_as_powers_degree_one():

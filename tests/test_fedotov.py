@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from boxcert.boxes import BoxBody, minkowski_combine, unit_cube
+from boxcert.diffop import primitive_space_basis
 from boxcert.exactlin import RatMatrix, det, dot, principal_submatrix, rank
 from boxcert.fedotov import (
     Certificate,
@@ -248,6 +249,12 @@ def test_pipeline_base_k2_identities():
     assert all(v == 0 for v in base.y[:-1])
     assert base.bodies[-1] == unit_cube(4)
     assert not is_hyperbolic(base.fedotov.matrix)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_pipeline_alpha_is_the_first_primitive_basis_element(n):
+    cube = unit_cube(n)
+    assert pipeline_base_k2(n).alpha == primitive_space_basis(2, cube, [cube] * (n - 4))[0]
 
 
 def test_construct_k2_n4_verifies():

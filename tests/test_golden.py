@@ -61,6 +61,11 @@ GOLDEN = {
         ["fedotov", "construct", "--n", "12", "--k", "4", "--format", "json"],
         "e5052d04673bd14aa40a4002f1d57f67f1dab67b6c82bd6cbaaa0ebe32cdc424",
     ),
+    # the largest lifted certificate: 819 bodies, 14.2 MB
+    "construct-12-6-json": (
+        ["fedotov", "construct", "--n", "12", "--k", "6", "--format", "json"],
+        "9f8e57742762fe33b16afa495e7a0a5ecea67c34f914491e6db61d64b74b85cb",
+    ),
     "verify-6-3": (
         ["fedotov", "verify", "{cert_6_3}"],
         "7e5deecda7d12bc3d2cc0e3bb8ee64f9412dfad9ad77c692abf757c9887f8450",
@@ -132,6 +137,11 @@ GOLDEN = {
     "hodge-primitive-8-4-json": (
         ["hodge", "primitive", "--n", "8", "--k", "4", "--format", "json"],
         "ecd8ff3452c334c4c3595626dc4a9a9a626d4f9bd4571ad8b5f4af0276cc873d",
+    ),
+    # 42 primitive elements; its basis comes from the Fraction nullspace
+    "hodge-primitive-9-4-json": (
+        ["hodge", "primitive", "--n", "9", "--k", "4", "--format", "json"],
+        "84cb38a163d6141d452e91a239f5dfe8568e9b28e2b290f9b7a4097f27b04ea6",
     ),
     "selftest": (
         ["selftest"],

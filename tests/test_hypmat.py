@@ -243,6 +243,38 @@ def test_af_form_check_on_shephard_matrices():
             )
 
 
+def _oracle_forms(m, x, y):
+    """(<x,My>, <x,Mx>, <y,My>) by Fraction matvec and dot."""
+    my = m.matvec(y)
+    return dot(x, my), dot(x, m.matvec(x)), dot(y, my)
+
+
+def test_af_form_check_agrees_with_the_fraction_oracle():
+    rng = random.Random(19)
+    verdicts = set()
+    for _ in range(150):
+        dim = rng.randrange(1, 6)
+        m = random_symmetric_positive(rng, dim)
+        x, y = random_nonneg_vector(rng, dim), random_nonneg_vector(rng, dim)
+        xy, xx, yy = _oracle_forms(m, x, y)
+        verdicts.add(af_form_check(m, x, y))
+        assert af_form_check(m, x, y) == (xy**2 >= xx * yy)
+    assert verdicts == {True, False}
+
+
+def test_equality_witness_agrees_with_the_fraction_oracle():
+    rng = random.Random(19)
+    for _ in range(40):
+        dim = rng.randrange(2, 6)
+        # a sum of fewer than dim positive rank-one terms: singular and positive
+        vectors = [random_nonneg_vector(rng, dim) for _ in range(rng.randrange(1, dim))]
+        vectors = [tuple(v + 1 for v in u) for u in vectors]
+        m = RatMatrix([[sum(u[i] * u[j] for u in vectors) for j in range(dim)] for i in range(dim)])
+        x, y = equality_witness(m)
+        xy, xx, yy = _oracle_forms(m, x, y)
+        assert xy**2 == xx * yy and min(x) > 0 and min(y) > 0
+
+
 def test_af_form_check_rejects_negative_entries():
     with pytest.raises(ValueError):
         af_form_check(RatMatrix([[1, 2], [2, 1]]), (F(-1), F(0)), (F(1), F(1)))
@@ -553,7 +585,7 @@ def test_witness_layer_runs_no_fraction_arithmetic(pipeline_matrices, monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError("Fraction arithmetic ran in the witness layer")
 
-    monkeypatch.setattr("boxcert.hypmat.dot", forbidden)
+    monkeypatch.setattr("boxcert.exactlin.dot", forbidden)
     monkeypatch.setattr(RatMatrix, "matvec", forbidden)
     assert run() == expected
     for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):

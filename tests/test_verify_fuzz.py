@@ -3,10 +3,12 @@
 The verifier is total: whatever a certificate file holds, ``fedotov
 verify`` (on the (4,2) certificate) exits 0 or 1 with a one-line text
 report or a JSON report, never a traceback. A mutation of a claim field to
-a different rational, or a zero y, is rejected. ``mixvol`` and ``shephard
---file`` never end in a traceback either: a bad input file exits 2 with a
-usage error and nothing on stdout, and a good one exits 0 or 1 with a
-report. The examples are derandomized, so every run checks the same ones.
+a different rational, or a zero y, is rejected, and so is any stored
+pairing on a direct certificate (``fedotov search``), which has no witness.
+``mixvol`` and ``shephard --file`` never end in a traceback either: a bad
+input file exits 2 with a usage error and nothing on stdout, and a good one
+exits 0 or 1 with a report. The examples are derandomized, so every run
+checks the same ones.
 """
 
 import io
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxcert.cli import main
-from boxcert.fedotov import certificate_to_json, construct_counterexample_k2
+from boxcert.fedotov import certificate_to_json, construct_counterexample_k2, random_search
 
 FUZZ = settings(max_examples=120, deadline=None, database=None, derandomize=True)
 
@@ -131,6 +133,30 @@ def test_verify_rejects_a_zero_y(tmp_path):
     assert _check_both_formats(tmp_path, data) == 1
     _, report = _verify(tmp_path, data, "json")
     assert json.loads(report)["reason"] == "quadratic form <y,My> is not strictly positive"
+
+
+@cache
+def _direct_certificate_text() -> str:
+    return certificate_to_json(random_search(4, 2, 4, 100, seed=7)[0])
+
+
+@settings(FUZZ, max_examples=40)
+@given(
+    field=st.sampled_from(["pair_xy", "pair_xx"]),
+    delete=st.booleans(),
+    value=VALUES | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+)
+@example(field="pair_xy", delete=False, value="0")
+def test_verify_rejects_pairings_on_a_direct_certificate(tmp_path_factory, field, delete, value):
+    # x = y = [], so both stored pairings must be null
+    data = json.loads(_direct_certificate_text())
+    assert data["x"] == data["y"] == []
+    if delete:
+        del data[field]
+    else:
+        data[field] = value
+    status = _check_both_formats(tmp_path_factory.mktemp("direct"), data)
+    assert status == (0 if value is None and not delete else 1)
 
 
 # input files hold widths and counts: most draws here keep a file valid
