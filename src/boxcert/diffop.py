@@ -17,9 +17,10 @@ the quotient in which the Hodge-Riemann statements live.
 list of bodies is applied to a polynomial: each distinct body's derivative
 power ``op_from_box(box, count)`` once. ``derivative_along``, a box's
 degree-1 derivative, has no caller; it is the single-step reference of the
-tests and the benchmark's tracer. ``hr_form`` is the one evaluator of the
-form, ``hr_check`` the one Hodge-Riemann verdict on a primitive operator,
-and ``hr_signature`` the one signature verdict (the pairing's exact
+tests and the benchmark's tracer. ``_form_and_image`` is the one evaluator
+of the form (``hr_form``); ``hr_check``, the one Hodge-Riemann verdict on a
+primitive operator, reads its image a D_C V too: a is primitive when D_L of
+it is 0. ``hr_signature`` is the one signature verdict (the pairing's exact
 inertia against the h-vector, and its definiteness on the primitive span,
 ``primitive_gram``); ``hodge primitive`` and the selftest read the last
 two. As d^S V = s_{[n] - S}, an operator kills V exactly when it is zero.
@@ -230,13 +231,11 @@ def contract(p: SlabPolynomial, bodies: Sequence[BoxBody]) -> SlabPolynomial:
     return p
 
 
-def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Rat:
-    """The scalar a * b * prod_i D_{C_i} applied to V.
-
-    Degrees must satisfy deg a = deg b = k and 2k + len(c_bodies) = n, so
-    the result is a constant. Symmetric and bilinear in (a, b). Only a is
-    applied; b pairs with the coefficients of the degree-k result.
-    """
+def _form_and_image(
+    a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]
+) -> tuple[Rat, SlabPolynomial]:
+    """(a*b*prod_i D_{C_i} V, a*prod_i D_{C_i} V): only a is applied, and b
+    pairs with the coefficients of the degree-k image."""
     if a.n != b.n:
         raise ValueError("operator dimension mismatch")
     if a.k != b.k:
@@ -245,7 +244,16 @@ def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Ra
     if 2 * a.k + len(c_bodies) != n:
         raise ValueError("body count does not complete the degree to n")
     p = apply_op(a, contract(volume_polynomial(n), c_bodies))
-    return sum((c * p.coeff(s) for s, c in b.terms.items()), Fraction(0))
+    return sum((c * p.coeff(s) for s, c in b.terms.items()), Fraction(0)), p
+
+
+def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Rat:
+    """The scalar a * b * prod_i D_{C_i} applied to V.
+
+    Degrees must satisfy deg a = deg b = k and 2k + len(c_bodies) = n, so
+    the result is a constant. Symmetric and bilinear in (a, b).
+    """
+    return _form_and_image(a, b, c_bodies)[0]
 
 
 def _union_coefficients(
@@ -294,27 +302,20 @@ def primitive_space_basis(
     ]
 
 
-def is_primitive(
-    a: SlabOperator, reference: BoxBody, c_bodies: Sequence[BoxBody]
-) -> bool:
-    q = contract(volume_polynomial(a.n), [reference, *c_bodies])
-    return apply_op(a, q).is_zero
-
-
 def hr_check(
     a: SlabOperator, reference: BoxBody, c_bodies: Sequence[BoxBody]
 ) -> tuple[Rat, bool, bool, bool]:
     """The Hodge-Riemann verdict on a primitive operator.
 
     Returns (value, sign_ok, equality_ok, kills_v): value is
-    a*a*prod D_{C_i} V (``hr_form``), sign_ok checks (-1)^k * value >= 0,
-    kills_v whether the operator kills V, and equality_ok that value = 0
-    exactly when it does (when a = 0). An operator that is not primitive for
-    (reference, c_bodies) raises ValueError.
+    a*a*prod D_{C_i} V, sign_ok checks (-1)^k * value >= 0, kills_v whether
+    the operator kills V, and equality_ok that value = 0 exactly when it
+    does (when a = 0). The operators commute, so a is primitive for
+    (reference, c_bodies) when D_L of a*prod D_{C_i} V is 0; else ValueError.
     """
-    if not is_primitive(a, reference, c_bodies):
+    value, image = _form_and_image(a, a, c_bodies)
+    if not apply_op(op_from_box(reference, 1), image).is_zero:
         raise ValueError("operator is not primitive for the given bodies")
-    value = hr_form(a, a, c_bodies)
     sign_ok = (-1) ** a.k * value >= 0
     return value, sign_ok, (value == 0) == a.is_zero, a.is_zero
 

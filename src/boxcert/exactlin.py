@@ -302,10 +302,6 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     return RatMatrix(a), pivots
 
 
-def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
-
-
 def nullspace_basis(m: RatMatrix) -> list[Vector]:
     """Basis of {z : Mz = 0}, one vector per free column of the RREF.
 

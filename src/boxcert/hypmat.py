@@ -6,9 +6,9 @@ is equivalent (exactly, no approximation) to every principal minor
 satisfying (-1)^|I| det M_I <= 0, and to the quadratic two-point inequality
 <x, My>^2 >= <x, Mx><y, My> on the nonnegative orthant. This module
 provides the exact checks for each formulation, equality witnesses for the
-singular case, and a core-shrinking search that reduces a non-hyperbolic
-matrix to a small index set on which exhaustive minor enumeration is
-feasible.
+singular case, and a core-shrinking search, led by a required witness
+pair, that reduces a non-hyperbolic matrix to a small index set on which
+exhaustive minor enumeration is feasible.
 
 The core search and the witness pairings take a matrix as (table, classes),
 M_ij = table[classes[i]][classes[j]]; a plain matrix is (m, range(m)). For J
@@ -390,28 +390,19 @@ def shrink_with_witness(
 def find_violation(
     table: RatMatrix,
     classes: Sequence[int],
-    witness: Optional[tuple[Sequence[Rat], Sequence[Rat]]] = None,
+    witness: tuple[Sequence[Rat], Sequence[Rat]],
 ) -> Violation:
     """Locate a principal-minor sign violation in a non-hyperbolic matrix.
 
-    With a witness pair the matrix is first shrunk at quadratic cost, then
-    polished by greedy_core and enumerated exhaustively; the returned
-    subset is expressed in the indices of the matrix. The one bound on the
-    enumeration is SUBSET_ENUMERATION_CAP, which sylvester_violation
-    enforces on the core.
-
-    The precondition n_pos >= 2 is checked before the core search, so a
-    hyperbolic input raises ValueError without running it. With a witness,
-    the Gram-PD check in shrink_with_witness is the proof; without one, an
-    exact inertia of the table on the classes present is.
+    The required witness pair first shrinks the matrix at quadratic cost;
+    its Gram-PD check proves n_pos >= 2, so a hyperbolic input raises
+    ValueError before the core search. greedy_core then polishes the core,
+    which is enumerated exhaustively; the returned subset is in the indices
+    of the matrix. The one bound on the enumeration is
+    SUBSET_ENUMERATION_CAP, which sylvester_violation enforces on the core.
     """
     _require_symmetric_positive(table)
-    if witness is not None:
-        pre = shrink_with_witness(table, classes, *witness)
-    else:
-        pre = range(len(classes))
-        if not _keeps_two_positive(table, classes, pre):
-            raise ValueError("matrix is already hyperbolic; nothing to localize")
+    pre = shrink_with_witness(table, classes, *witness)
     core_local = greedy_core(table, [classes[i] for i in pre])
     core = tuple(pre[i] for i in core_local)
     violation = sylvester_violation(class_matrix(table, [classes[i] for i in core]))

@@ -16,13 +16,13 @@ from boxcert.boxes import unit_cube
 from boxcert.diffop import (
     SlabOperator,
     apply_op,
+    hr_check,
     hr_form,
-    is_primitive,
     pairing_matrix,
     primitive_space_basis,
     volume_polynomial,
 )
-from boxcert.exactlin import det, dot, principal_submatrix, rank
+from boxcert.exactlin import det, dot, inertia, principal_submatrix
 from boxcert.fedotov import (
     build_matrix,
     load_certificate,
@@ -90,7 +90,8 @@ def test_criterion_03_cube_h_vector_counts():
     for n in (4, 5, 6):
         cube = unit_cube(n)
         for k in range(1, n // 2 + 1):
-            ok &= rank(pairing_matrix(n, k)) == comb(n, k)
+            pairing = inertia(pairing_matrix(n, k))
+            ok &= pairing.n_pos + pairing.n_neg == comb(n, k)
             basis = primitive_space_basis(k, cube, [cube] * (n - 2 * k))
             ok &= len(basis) == comb(n, k) - comb(n, k - 1)
     report(3, ok, "pairing ranks C(n,k) and primitive dimensions C(n,k)-C(n,k-1)")
@@ -98,8 +99,8 @@ def test_criterion_03_cube_h_vector_counts():
 
 def test_criterion_04_explicit_hr_value():
     alpha = SlabOperator(4, 2, {(0, 1): 1, (2, 3): 1, (0, 2): -1, (1, 3): -1})
-    ok = is_primitive(alpha, unit_cube(4), [])
-    ok &= hr_form(alpha, alpha, []) == 4
+    hr_check(alpha, unit_cube(4), [])  # raises unless alpha is primitive
+    ok = hr_form(alpha, alpha, []) == 4
     report(4, ok, "d1d2+d3d4-d1d3-d2d4 is primitive with squared value 4")
 
 

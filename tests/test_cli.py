@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from boxcert.boxes import unit_cube
 from boxcert.cli import main
 from boxcert.diffop import (
-    hr_form,
+    _form_and_image,
+    apply_op,
     hr_signature,
     op_from_box,
     pairing_matrix,
@@ -115,8 +117,12 @@ def test_hodge_primitive_reports_dimension(capsys):
 
 
 def test_hodge_primitive_exit_status_covers_the_form_values(capsys, monkeypatch):
-    # hr_check, the one Hodge-Riemann verdict, reads the form from hr_form
-    monkeypatch.setattr("boxcert.diffop.hr_form", lambda *args: -hr_form(*args))
+    # hr_check, the one Hodge-Riemann verdict, reads the form from the one evaluator
+    def negated(*args):
+        value, image = _form_and_image(*args)
+        return -value, image
+
+    monkeypatch.setattr("boxcert.diffop._form_and_image", negated)
     assert main(["hodge", "primitive", "--n", "4", "--k", "2", "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
@@ -146,8 +152,25 @@ def test_hodge_primitive_exit_status_covers_the_signature(capsys, monkeypatch, n
     assert data["ok"] is False
     assert data["pairing_rank"] == data["expected_pairing_rank"] == comb(n, k)
     assert data["dimension"] == data["expected_dimension"]
-    # hr_form is untouched, so every element's own verdict still holds
+    # the form's evaluator is untouched, so every element's own verdict still holds
     assert all(e["signed_value_nonneg"] for e in data["basis"])
+
+
+def test_hodge_primitive_applies_each_basis_element_once(capsys, monkeypatch):
+    # primitivity is D_L of the form's image, so no element is applied to q
+    cube = unit_cube(6)
+    basis = set(primitive_space_basis(3, cube, []))
+    applied = Counter()
+
+    def counting(a, p):
+        if a in basis:
+            applied[a] += 1
+        return apply_op(a, p)
+
+    monkeypatch.setattr("boxcert.diffop.apply_op", counting)
+    assert main(["hodge", "primitive", "--n", "6", "--k", "3", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["basis"]) == len(basis) == 5
+    assert applied == Counter(dict.fromkeys(basis, 1))
 
 
 def test_hodge_primitive_checks_every_element_for_primitivity(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
@@ -17,7 +18,6 @@ from boxcert.diffop import (
     hr_check,
     hr_form,
     hr_signature,
-    is_primitive,
     op_add,
     op_from_box,
     op_scale,
@@ -28,7 +28,7 @@ from boxcert.diffop import (
     primitive_space_basis,
     volume_polynomial,
 )
-from boxcert.exactlin import Inertia, RatMatrix, inertia, rank
+from boxcert.exactlin import Inertia, RatMatrix, inertia
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import random_box
 
@@ -132,7 +132,7 @@ def test_primitive_space_n2_k1():
 
 
 def test_cross_alpha_is_primitive():
-    assert is_primitive(CROSS_ALPHA, unit_cube(4), [])
+    hr_check(CROSS_ALPHA, unit_cube(4), [])  # raises unless primitive
 
 
 def test_primitive_dimensions_match_h_vector():
@@ -229,6 +229,45 @@ def test_hr_check_rejects_non_primitive():
         hr_check(bad, unit_cube(4), [])
 
 
+def _primitive_by_q(a, reference, c_bodies):
+    """a * D_L * prod D_{C_i} V = 0, with a applied to q = D_L prod D_{C_i} V:
+    the primitivity test as it ran before ``hr_check`` applied a once."""
+    return apply_op(a, contract(volume_polynomial(a.n), [reference, *c_bodies])).is_zero
+
+
+def _hr_check_accepts(a, reference, c_bodies):
+    try:
+        hr_check(a, reference, c_bodies)
+    except ValueError as exc:
+        assert "not primitive" in str(exc)
+        return False
+    return True
+
+
+def test_hr_check_primitivity_matches_the_q_oracle():
+    rng = random.Random(21)
+    seen = Counter()
+    for n in range(2, 8):
+        for k in range(1, n // 2 + 1):
+            subsets = list(combinations(range(n), k))
+            reference = random_box(rng, n)
+            c_bodies = [random_box(rng, n) for _ in range(n - 2 * k)]
+            basis = primitive_space_basis(k, reference, c_bodies)
+            ops = [SlabOperator(n, k)]
+            for _ in range(4):
+                combo = SlabOperator(n, k)
+                for b in basis:
+                    combo = op_add(combo, op_scale(b, F(rng.randrange(-3, 4), rng.randrange(1, 3))))
+                chosen = rng.sample(subsets, rng.randrange(1, len(subsets) + 1))
+                noise = SlabOperator(n, k, {s: rng.randrange(-2, 3) for s in chosen})
+                ops += [combo, op_add(combo, noise), noise]
+            for a in ops:
+                expected = _primitive_by_q(a, reference, c_bodies)
+                assert _hr_check_accepts(a, reference, c_bodies) == expected
+                seen[expected] += 1
+    assert seen[True] >= 50 and seen[False] >= 50  # both verdicts were exercised
+
+
 def test_hr_check_on_basis_elements():
     cube = unit_cube(4)
     for op in primitive_space_basis(2, cube, []):
@@ -256,7 +295,8 @@ def test_hr_positivity_on_random_primitive_elements():
 def test_pairing_rank_equals_h_entry():
     for n in (4, 5, 6):
         for k in range(1, n // 2 + 1):
-            assert rank(pairing_matrix(n, k)) == comb(n, k)
+            pairing = inertia(pairing_matrix(n, k))
+            assert pairing.n_pos + pairing.n_neg == comb(n, k)
 
 
 def test_pairing_inertia_is_the_hodge_riemann_signature():

@@ -13,7 +13,6 @@ from boxcert.exactlin import (
     inertia,
     nullspace_basis,
     principal_submatrix,
-    rank,
     rat_from_str,
     rat_to_str,
     rref,
@@ -253,7 +252,7 @@ def test_nullspace_vectors_satisfy_mz_zero():
     for _ in range(30):
         m = random_rational_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
         basis = nullspace_basis(m)
-        assert len(basis) == m.cols - rank(m)
+        assert len(basis) == m.cols - len(rref(m)[1])
         for z in basis:
             assert all(v == 0 for v in m.matvec(z))
 
@@ -273,7 +272,7 @@ def test_rref_pivots_and_rank():
     m = RatMatrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     reduced, pivots = rref(m)
     assert pivots == [0, 1]
-    assert rank(m) == 2
+    assert len(rref(m)[1]) == 2
     assert reduced.entries[2] == (F(0), F(0), F(0))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from boxcert.boxes import BoxBody, minkowski_combine, unit_cube
 from boxcert.diffop import primitive_space_basis
-from boxcert.exactlin import RatMatrix, det, dot, principal_submatrix, rank
+from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix
 from boxcert.fedotov import (
     Certificate,
     PipelineError,
@@ -36,12 +36,18 @@ from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import naive_permanent_mixed_volume, random_box
 
 
+def _rank(m):
+    """Rank of a symmetric matrix: n_pos + n_neg of its exact inertia."""
+    found = inertia(m)
+    return found.n_pos + found.n_neg
+
+
 def test_build_matrix_homothets_rank_one():
     k = BoxBody(3, (1, 2, 3))
     fm = build_matrix([k, k.scale(2)], 1, [unit_cube(3)])
     v = fm.matrix[0, 0]
     assert fm.matrix.entries == ((v, 2 * v), (2 * v, 4 * v))
-    assert rank(fm.matrix) == 1
+    assert _rank(fm.matrix) == 1
 
 
 def test_build_matrix_all_cubes_gives_ones():
@@ -215,8 +221,8 @@ def test_shephard_verify_matches_brute_force():
     rng = random.Random(21)
     deficient = build_matrix([random_box(rng, 3) for _ in range(6)], 1, [random_box(rng, 3)])
     full = build_matrix([random_box(rng, 5) for _ in range(4)], 1, [random_box(rng, 5) for _ in range(3)])
-    assert rank(deficient.matrix) == 3 < deficient.m
-    assert rank(full.matrix) == full.m
+    assert _rank(deficient.matrix) == 3 < deficient.m
+    assert _rank(full.matrix) == full.m
     # the report depends on the matrix alone: a table with three positive
     # eigenvalues on classes (0, 1, 0, 2, 1) gives violations at rank 3 < 5
     a, b, c = (random_box(rng, 3) for _ in range(3))
@@ -224,7 +230,7 @@ def test_shephard_verify_matches_brute_force():
         build_matrix([a, b, a, c, b], 1, [random_box(rng, 3)]),
         table=RatMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
     )
-    assert rank(planted.matrix) == 3
+    assert _rank(planted.matrix) == 3
     for fm in (deficient, full, planted):
         report = shephard_verify(fm)
         checked, determinant, violations = _brute_force_shephard(fm.matrix)

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from boxcert.boxes import BoxBody, unit_cube
-from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix, rank
+from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix, rref
 from boxcert.fedotov import (
     VerificationReport,
     build_matrix,
@@ -147,7 +147,7 @@ def _assert_zero_above(m, top):
 
 def test_principal_minors_order_and_values():
     for m in _minor_test_matrices():
-        size, top = m.rows, rank(m)
+        size, top = m.rows, len(rref(m)[1])
         minors = list(_principal_minors(m))
         subsets = [subset for subset, _ in minors]
         assert subsets == _subsets_up_to(size, top)
@@ -337,7 +337,9 @@ def test_greedy_core_rejects_hyperbolic():
         greedy_core(RatMatrix([[1, 2], [2, 1]]), range(2))
 
 
-def test_find_violation_without_witness_rejects_hyperbolic_up_front(monkeypatch):
+def test_find_violation_rejects_hyperbolic_before_the_core_search(monkeypatch):
+    # a hyperbolic matrix has no positive-definite plane, so the shrink's Gram
+    # check rejects every witness pair before greedy_core could run
     rng = random.Random(12)
     n = 4
     bodies = [random_box(rng, n) for _ in range(12)]
@@ -347,8 +349,10 @@ def test_find_violation_without_witness_rejects_hyperbolic_up_front(monkeypatch)
         raise AssertionError("greedy_core ran on a hyperbolic matrix")
 
     monkeypatch.setattr("boxcert.hypmat.greedy_core", no_core_search)
-    with pytest.raises(ValueError):
-        find_violation(m, range(m.rows))
+    for _ in range(5):
+        x, y = random_nonneg_vector(rng, m.rows), random_nonneg_vector(rng, m.rows)
+        with pytest.raises(ValueError):
+            find_violation(m, range(m.rows), witness=(x, y))
 
 
 def test_shrink_with_witness_certifies_core():
@@ -368,9 +372,17 @@ def test_shrink_with_witness_rejects_bad_witness():
         shrink_with_witness(m, range(2), (F(1), F(0)), (F(0), F(1)))
 
 
-def test_find_violation_with_and_without_witness():
+def _core_violation(table, classes):
+    """greedy_core, then sylvester_violation on the core, in the indices of
+    the matrix: the search ``find_violation`` runs after its witness shrink."""
+    core = greedy_core(table, classes)
+    violation = sylvester_violation(class_matrix(table, [classes[i] for i in core]))
+    return Violation(tuple(core[i] for i in violation.subset), violation.det_value)
+
+
+def test_find_violation_and_the_core_search_find_violations():
     m = planted_block_matrix()
-    v1 = find_violation(m, range(6))
+    v1 = _core_violation(m, range(6))
     assert (-1) ** len(v1.subset) * det(principal_submatrix(m, v1.subset)) > 0
     x = (F(1), F(1), F(0), F(0), F(0), F(0))
     y = (F(1), F(0), F(0), F(0), F(0), F(0))
@@ -413,7 +425,7 @@ def _assert_factored_matches_plain(table, classes, x, y):
     for fn, args, kwargs in (
         (shrink_with_witness, (x, y), {}),
         (greedy_core, (), {}),
-        (find_violation, (), {}),
+        (_core_violation, (), {}),
         (find_violation, (), {"witness": (x, y)}),
     ):
         factored = _outcome(fn, table, classes, *args, **kwargs)
@@ -477,7 +489,7 @@ def test_inertia_and_minor_paths_never_run_rref(pipeline_matrices, monkeypatch):
             is_hyperbolic(planted),
             greedy_core(planted, range(6)),
             greedy_core(fm.table, fm.classes),
-            find_violation(planted, range(6)),
+            _core_violation(planted, range(6)),
             find_violation(planted, range(6), witness=(x, y)),
             find_violation(fm.table, fm.classes, witness=(px, py)),
         ]
