@@ -11,27 +11,33 @@ w_1 * ... * w_n (see the diffop module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exactlin import Rat, rat, rats_from_json
 
 
-@dataclass(frozen=True)
-class BoxBody:
-    """An axis-aligned box in R^n with side lengths ``widths``."""
-
+class _BoxBodyFields(NamedTuple):
     n: int
     widths: tuple[Rat, ...]
 
-    def __post_init__(self):
-        widths = tuple(rat(w) for w in self.widths)
-        if len(widths) != self.n:
+
+class BoxBody(_BoxBodyFields):
+    """An axis-aligned box in R^n with side lengths ``widths``.
+
+    An immutable record, equal and equally hashed when the widths are equal;
+    the widths are made exact and checked at construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, widths: Iterable):
+        widths = tuple(rat(w) for w in widths)
+        if len(widths) != n:
             raise ValueError("widths length must equal the dimension")
         if any(w < 0 for w in widths):
             raise ValueError("widths must be nonnegative")
-        object.__setattr__(self, "widths", widths)
+        return super().__new__(cls, n, widths)
 
     @property
     def is_nondegenerate(self) -> bool:

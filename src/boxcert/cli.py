@@ -50,7 +50,6 @@ from .fedotov import (
 )
 from .hypmat import SUBSET_ENUMERATION_CAP
 from .mixvol import MAX_DIMENSION, BodyTuple, mixed_volume, mixed_volume_via_derivatives
-from .selftest import run_all
 
 
 class UsageError(Exception):
@@ -346,6 +345,8 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_all  # loaded for this command only
+
     results = run_all(seed=args.seed)
     all_ok = all(ok for _, ok, _ in results)
     suites = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]

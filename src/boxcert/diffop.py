@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .boxes import BoxBody, unit_cube
 from .exactlin import (
@@ -320,8 +319,7 @@ def hr_check(
     return value, sign_ok, (value == 0) == a.is_zero, a.is_zero
 
 
-@dataclass(frozen=True)
-class PowerCombination:
+class PowerCombination(NamedTuple):
     """A sum sum_i x_i (D_{K_i})^k of pure powers of box derivatives."""
 
     k: int

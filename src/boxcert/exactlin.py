@@ -25,10 +25,9 @@ that keeps every division exact and makes a_ii = 2 a_ij.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
 
@@ -99,8 +98,7 @@ def dot(u: Sequence[Rat], v: Sequence[Rat]) -> Rat:
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     """Eigenvalue sign counts (n_pos, n_neg, n_zero) of a symmetric matrix."""
 
     n_pos: int

@@ -27,13 +27,12 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, repeat
 from math import factorial
 from operator import add, lshift, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .boxes import BoxBody, box_from_widths, unit_cube
 from .diffop import (
@@ -90,8 +89,7 @@ def random_instance(
     return bodies, [random_box(rng, n) for _ in range(n - 2 * k)]
 
 
-@dataclass(frozen=True)
-class FedotovMatrix:
+class FedotovMatrix(NamedTuple):
     """The k-fold mixed-volume matrix M_ij = table[classes[i]][classes[j]]."""
 
     n: int
@@ -105,9 +103,12 @@ class FedotovMatrix:
     def m(self) -> int:
         return len(self.bodies)
 
-    @cached_property
+    @property
     def matrix(self) -> RatMatrix:
-        """The m x m matrix itself, for a v1 certificate or minor enumeration."""
+        """The m x m matrix itself, for a v1 certificate or minor enumeration.
+
+        It is built on each read, so a caller reads it once.
+        """
         return class_matrix(self.table, self.classes)
 
 
@@ -241,8 +242,7 @@ def build_matrix(
     return FedotovMatrix(n, k, bodies, c_bodies, tuple(classes), table)
 
 
-@dataclass(frozen=True)
-class ShephardReport:
+class ShephardReport(NamedTuple):
     """Outcome of checking every principal minor sign at k = 1."""
 
     ok: bool
@@ -263,23 +263,16 @@ def shephard_verify(fm: FedotovMatrix) -> ShephardReport:
     if fm.k != 1:
         raise ValueError("shephard_verify applies to k = 1 matrices")
     violations = []
-    subset, value = (), Fraction(1)  # det of a 0x0 matrix is 1
-    for subset, value in _principal_minors(fm.matrix):
+    den, minors = _principal_minors(fm.matrix)
+    subset, value = (), 1  # det of a 0x0 matrix is 1
+    for subset, value in minors:
         if violates_sign(subset, value):
-            violations.append(Violation(subset, value))
-    determinant = value if len(subset) == fm.m else Fraction(0)
+            violations.append(Violation(subset, Fraction(value, den ** len(subset))))
+    determinant = Fraction(value, den**fm.m) if len(subset) == fm.m else Fraction(0)
     return ShephardReport(not violations, 2**fm.m - 1, tuple(violations), determinant)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Self-contained, exactly re-verifiable record of a minor-sign violation.
-
-    ``labels`` names each matrix row: plain indices for the k = 2 pipeline
-    and direct search, (i, delta-bits) pairs for the general-k reduction.
-    Everything is recomputable from the stored widths alone.
-    """
-
+class _CertificateFields(NamedTuple):
     n: int
     k: int
     labels: tuple
@@ -292,8 +285,24 @@ class Certificate:
     matrix: RatMatrix
     subset: tuple[int, ...]
     subset_det: Rat
-    trace: dict = field(default_factory=dict)
+    trace: Optional[dict] = None
     version: int = CERTIFICATE_VERSION
+
+
+class Certificate(_CertificateFields):
+    """Self-contained, exactly re-verifiable record of a minor-sign violation.
+
+    ``labels`` names each matrix row: plain indices for the k = 2 pipeline
+    and direct search, (i, delta-bits) pairs for the general-k reduction.
+    Everything is recomputable from the stored widths alone. A certificate
+    built without a trace gets an empty one of its own.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        cert = super().__new__(cls, *fields, **named)
+        return cert if cert.trace is not None else cert._replace(trace={})
 
 
 def _certificate(
@@ -306,8 +315,7 @@ def _certificate(
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     reason: str = ""
 
@@ -315,8 +323,7 @@ class VerificationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PipelineData:
+class PipelineData(NamedTuple):
     """Intermediate state of the k = 2 construction, reused by the lift."""
 
     n: int
@@ -494,8 +501,7 @@ def double_polarization_check(base: PipelineData, cert: Certificate) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     trials: int
     found: bool
     found_trial: Optional[int]
@@ -649,16 +655,28 @@ def _label_from_json(data):
     return json_int(data, "label")
 
 
+def _json_list(items: list[str], indent: int) -> str:
+    """An array of encoded items at ``indent``, as ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical structured-text form; round-trips bit-exactly.
 
-    Matrix entries are shared objects (``class_matrix`` indexes one table,
-    the loader parses each distinct string once), so each distinct object is
-    formatted once, keyed by ``id``; keying by value would hash in Python.
+    The text is ``json.dumps(payload, indent=2)``. Matrix entries are shared
+    objects (``class_matrix`` indexes one table, the loader parses each
+    distinct string once), so each distinct object is formatted and quoted
+    once, keyed by ``id``; keying by value would hash in Python. The matrix
+    is laid out here and spliced in for the top-level ``"matrix": null``, so
+    ``json``'s pure-Python indenting encoder never walks its m^2 entries.
     """
     entries = cert.matrix.entries
     distinct = {id(v): v for row in entries for v in row}
-    text = {key: rat_to_str(v) for key, v in distinct.items()}
+    quoted = {key: f'"{rat_to_str(v)}"' for key, v in distinct.items()}
+    matrix = _json_list([_json_list([quoted[id(v)] for v in row], 6) for row in entries], 4)
     payload = {
         "version": cert.version,
         "kind": "minor-sign-violation",
@@ -672,12 +690,13 @@ def certificate_to_json(cert: Certificate) -> str:
         "y": [rat_to_str(v) for v in cert.y],
         "pair_xy": None if cert.pair_xy is None else rat_to_str(cert.pair_xy),
         "pair_xx": None if cert.pair_xx is None else rat_to_str(cert.pair_xx),
-        "matrix": [[text[id(v)] for v in row] for row in entries],
+        "matrix": None,
         "subset": list(cert.subset),
         "subset_det": rat_to_str(cert.subset_det),
         "trace": cert.trace,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2)
+    return text.replace('\n  "matrix": null', '\n  "matrix": ' + matrix, 1) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:

@@ -19,17 +19,19 @@ Everything on the certification path is exact. The witness layer
 (``witness_forms``, ``shrink_with_witness``) scales the c x c table once to
 integers, and x and y once each, and divides only where it returns a form
 value; ``af_form_check`` and ``equality_witness`` read their pairings
-from ``witness_forms`` too. ``violates_sign`` is the one minor-sign rule, which the verifier's
-det M_I check also reads, and ``is_hyperbolic`` the one hyperbolicity test,
-which ``random_search`` asks before it enumerates.
+from ``witness_forms`` too. The principal minors (``_principal_minors``)
+are the integers det N_I of M scaled once to N = D M, which have the signs
+of det M_I; only a minor that is reported becomes the Fraction
+det N_I / D^|I|. ``violates_sign`` is the one minor-sign rule, which the
+verifier's det M_I check also reads, and ``is_hyperbolic`` the one
+hyperbolicity test, which ``random_search`` asks before it enumerates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactlin import (
     Rat,
@@ -51,26 +53,32 @@ from .exactlin import (
 SUBSET_ENUMERATION_CAP = 22
 
 
-def violates_sign(subset: Sequence[int], value: Rat) -> bool:
-    """(-1)^|I| det M_I > 0, read off the sign of the numerator."""
-    return value.numerator < 0 if len(subset) % 2 else value.numerator > 0
+def violates_sign(subset: Sequence[int], value: Rat | int) -> bool:
+    """(-1)^|I| det M_I > 0, with ``value`` det M_I or a positive multiple of
+    it, such as the integer minor det N_I = D^|I| det M_I of N = D M.
+    """
+    return value < 0 if len(subset) % 2 else value > 0
 
 
-@dataclass(frozen=True)
-class Violation:
+class _ViolationFields(NamedTuple):
+    subset: tuple[int, ...]
+    det_value: Rat
+
+
+class Violation(_ViolationFields):
     """A principal subset witnessing failure of the minor sign condition.
 
     Indices are 0-based and ascending; the defining inequality
     (-1)^|I| * det_value > 0 is checked at construction.
     """
 
-    subset: tuple[int, ...]
-    det_value: Rat
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "subset", tuple(sorted(self.subset)))
-        if not violates_sign(self.subset, self.det_value):
+    def __new__(cls, subset: Sequence[int], det_value: Rat):
+        subset = tuple(sorted(subset))
+        if not violates_sign(subset, det_value):
             raise ValueError("subset does not witness a sign violation")
+        return super().__new__(cls, subset, det_value)
 
     def to_json(self) -> dict:
         return {"I": list(self.subset), "det": rat_to_str(self.det_value)}
@@ -159,23 +167,16 @@ def _bordered_minors(
     return value, [row[p + i :] for i, row in enumerate(a[p:])]
 
 
-def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
-    """(I, det M_I) for every nonempty principal subset I with |I| <= rank M.
+def _principal_minors(m: RatMatrix) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
+    """(D, minors): M scaled once to the integers N = D M, and (I, det N_I)
+    for every nonempty principal subset I with |I| <= rank M.
 
-    The rank is n_pos + n_neg of the exact ``inertia``. Every larger subset
-    has minor 0 and is not yielded, so the full index set comes last exactly
-    when M is nonsingular. Subsets come smallest-first, lexicographically
-    within a size.
-
-    M is scaled once to N = D M. A nonsingular subset I keeps a state, the
-    bordered minors b_il = det N[I + i, I + l] for max I < i <= l (the
-    matrix b is symmetric). Its children I + j come next to each other in
-    the next size level, in order: det N_{I+j} = b_jj, and by Sylvester's
-    identity the child's own state is b'_il = (b_jj b_il - b_ji b_jl) /
-    det N_I, an exact integer division. Children of a singular subset get
-    a fresh Bareiss elimination instead. Only one level of states is kept,
-    and the level before the last keeps only the diagonals
-    b'_ii = (b_jj b_ii - b_ji^2) / det N_I, all the last level reads.
+    det N_I = D^|I| det M_I is an integer with the sign of det M_I, so a
+    sign is read without a Fraction; a caller that reports a minor divides
+    it by D^|I|. The rank is n_pos + n_neg of the exact ``inertia``. Every
+    larger subset has minor 0 and is not yielded, so the full index set
+    comes last exactly when M is nonsingular. Subsets come smallest-first,
+    lexicographically within a size.
     """
     size = m.rows
     if size > SUBSET_ENUMERATION_CAP:
@@ -184,15 +185,31 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
             f"{SUBSET_ENUMERATION_CAP}"
         )
     signature = inertia(m)  # rejects a matrix that is not symmetric
-    top = signature.n_pos + signature.n_neg
     rows, den = integer_matrix(m)
+    return den, _integer_minors(rows, signature.n_pos + signature.n_neg)
+
+
+def _integer_minors(rows: list[list[int]], top: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(I, det N_I) for the nonempty subsets I with |I| <= top, in the order
+    of ``_principal_minors``; N is symmetric and of rank top.
+
+    A nonsingular subset I keeps a state, the bordered minors
+    b_il = det N[I + i, I + l] for max I < i <= l (the matrix b is
+    symmetric). Its children I + j come next to each other in the next size
+    level, in order: det N_{I+j} = b_jj, and by Sylvester's identity the
+    child's own state is b'_il = (b_jj b_il - b_ji b_jl) / det N_I, an exact
+    integer division. Children of a singular subset get a fresh Bareiss
+    elimination instead. Only one level of states is kept, and the level
+    before the last keeps only the diagonals b'_ii = (b_jj b_ii - b_ji^2) /
+    det N_I, all the last level reads.
+    """
+    size = len(rows)
     # (I, det N_I, its state or None); row t of a state holds b_tl for
     # l >= t, from b_tt on. The last level reads only det N_{I+j} = b_jj, so
     # the states kept for it are the diagonals alone.
     triangle = [row[i:] for i, row in enumerate(rows)]
     level: list = [((), 1, [b_t[0] for b_t in triangle] if top == 1 else triangle)]
     for card in range(1, top + 1):
-        scale = den**card
         last = card == top
         diagonal = card == top - 1
         following = []
@@ -224,7 +241,7 @@ def _principal_minors(m: RatMatrix) -> Iterator[tuple[tuple[int, ...], Rat]]:
                              for b_il, b_tl in zip(b_i, row_t[i:])]
                             for i, b_i in enumerate(state[t + 1 :], 1)
                         ]
-                yield child, Fraction(child_value, scale)
+                yield child, child_value
                 if not last:
                     following.append((child, child_value, child_state))
         level = following
@@ -239,9 +256,10 @@ def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     hyperbolic.
     """
     _require_symmetric_positive(m)
-    for subset, value in _principal_minors(m):
+    den, minors = _principal_minors(m)
+    for subset, value in minors:
         if violates_sign(subset, value):
-            return Violation(subset, value)
+            return Violation(subset, Fraction(value, den ** len(subset)))
     return None
 
 

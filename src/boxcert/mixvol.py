@@ -23,10 +23,9 @@ Supported envelope: n <= 12 (desk-scale instances have n <= 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .boxes import BoxBody, minkowski_combine
 from .diffop import contract, polarization_signs, volume_polynomial
@@ -37,27 +36,30 @@ MAX_DIMENSION = 12
 Entries = tuple[tuple[BoxBody, int], ...]
 
 
-@dataclass(frozen=True)
-class BodyTuple:
-    """n bodies with multiplicities summing to the ambient dimension."""
-
+class _BodyTupleFields(NamedTuple):
     n: int
     entries: Entries
 
-    def __post_init__(self):
-        entries = tuple((box, int(mult)) for box, mult in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.n < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.n}")
+
+class BodyTuple(_BodyTupleFields):
+    """n bodies with multiplicities summing to the ambient dimension."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, entries: Iterable):
+        entries = tuple((box, int(mult)) for box, mult in entries)
+        if n < 1:
+            raise ValueError(f"dimension must be at least 1, got {n}")
         if any(mult < 1 for _, mult in entries):
             raise ValueError("multiplicities must be at least 1")
-        if any(box.n != self.n for box, _ in entries):
+        if any(box.n != n for box, _ in entries):
             raise ValueError("all bodies must live in dimension n")
         total = sum(mult for _, mult in entries)
-        if total != self.n:
-            raise ValueError(f"multiplicities sum to {total}, expected {self.n}")
-        if self.n > MAX_DIMENSION:
-            raise ValueError(f"dimension {self.n} exceeds the supported envelope")
+        if total != n:
+            raise ValueError(f"multiplicities sum to {total}, expected {n}")
+        if n > MAX_DIMENSION:
+            raise ValueError(f"dimension {n} exceeds the supported envelope")
+        return super().__new__(cls, n, entries)
 
 
 def body_tuple(*bodies: BoxBody) -> BodyTuple:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +82,21 @@ def test_degenerate_box_flagged():
 def test_negative_width_rejected():
     with pytest.raises(ValueError):
         BoxBody(1, (-1,))
+
+
+def test_float_width_rejected():
+    with pytest.raises(TypeError):
+        BoxBody(2, (1, 0.5))
+
+
+def test_boxes_are_immutable_values():
+    # equal widths, given as any exact type, make equal boxes with one hash
+    a, b = BoxBody(2, (1, F(1, 2))), BoxBody(2, [F(1), "1/2"])
+    assert a == b and hash(a) == hash(b)
+    assert all(type(w) is F for w in b.widths)
+    assert Counter([a, unit_cube(2), b]) == {a: 2, unit_cube(2): 1}
+    with pytest.raises(AttributeError):
+        a.widths = (F(1), F(1))
 
 
 def test_box_from_widths_parses_rational_strings():

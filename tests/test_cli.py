@@ -3,9 +3,11 @@ import subprocess
 import sys
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import boxcert
 from boxcert.boxes import unit_cube
 from boxcert.cli import main
 from boxcert.diffop import (
@@ -219,6 +221,22 @@ def test_subprocess_entry_point():
     assert result.returncode == 0
     data = json.loads(result.stdout)
     assert data["dimension"] == 2 and data["pairing_rank"] == 6
+
+
+def test_cli_import_skips_the_dataclass_machinery_and_selftest():
+    # every CLI child pays its imports: the records are NamedTuples, so
+    # dataclasses (and the inspect it imports) stays out, and selftest loads
+    # only for its own command
+    probe = "import sys, boxcert.cli; print([m for m in {!r} if m in sys.modules])"
+    modules = ("dataclasses", "inspect", "boxcert.selftest")
+    result = subprocess.run(
+        [sys.executable, "-c", probe.format(modules)], capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+    sources = sorted(Path(boxcert.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "@dataclass" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_max_core_size_flag_removed(capsys):
@@ -570,7 +588,7 @@ def test_unwritable_output_checked_before_work(tmp_path, capsys, monkeypatch):
         raise AssertionError("work started before --output was checked")
 
     for target in (
-        "boxcert.cli.run_all",
+        "boxcert.selftest.run_all",
         "boxcert.cli.construct_counterexample",
         "boxcert.cli.random_search",
         "boxcert.cli.load_certificate",

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -12,6 +11,7 @@ from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix
 from boxcert.fedotov import (
     Certificate,
     PipelineError,
+    VerificationReport,
     build_matrix,
     certificate_from_json,
     certificate_to_json,
@@ -226,8 +226,7 @@ def test_shephard_verify_matches_brute_force():
     # the report depends on the matrix alone: a table with three positive
     # eigenvalues on classes (0, 1, 0, 2, 1) gives violations at rank 3 < 5
     a, b, c = (random_box(rng, 3) for _ in range(3))
-    planted = replace(
-        build_matrix([a, b, a, c, b], 1, [random_box(rng, 3)]),
+    planted = build_matrix([a, b, a, c, b], 1, [random_box(rng, 3)])._replace(
         table=RatMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
     )
     assert _rank(planted.matrix) == 3
@@ -567,9 +566,50 @@ def test_verify_rejects_wrong_pairing():
 def test_verify_needs_a_positive_y_direction(field, scale, reason):
     # y = 0 proves nothing; a nonzero multiple of y, or -x, is as good a witness
     cert = construct_counterexample_k2(4)
-    scaled = replace(cert, **{field: tuple(scale * v for v in getattr(cert, field))})
+    scaled = cert._replace(**{field: tuple(scale * v for v in getattr(cert, field))})
     report = verify_certificate(scaled)
     assert (report.ok, report.reason) == (not reason, reason)
+
+
+def test_verification_report_is_false_when_not_ok():
+    assert not VerificationReport(False, "x")
+    assert VerificationReport(True) and VerificationReport(True).reason == ""
+
+
+def test_certificates_built_without_a_trace_do_not_share_one():
+    fm = build_matrix([unit_cube(4)] * 2, 2, [])
+    fields = dict(
+        n=4, k=2, labels=(0, 1), bodies=fm.bodies, c_bodies=(), x=(), y=(),
+        pair_xy=None, pair_xx=None, matrix=fm.matrix, subset=(0, 1), subset_det=F(0),
+    )
+    a, b = Certificate(**fields), Certificate(**fields)
+    assert a.trace == b.trace == {} and a.trace is not b.trace
+    a.trace["mode"] = "direct"
+    assert b.trace == {} and Certificate(**fields).trace == {}
+    assert Certificate(**fields, trace={"mode": "x"}).trace == {"mode": "x"}
+
+
+def _direct_certificate():
+    cert, _ = random_search(4, 2, 4, 100, 7)
+    assert cert.x == cert.y == () and cert.pair_xy is cert.pair_xx is None
+    return cert
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda n=n, k=k: construct_counterexample(n, k) for n, k in ((4, 2), (6, 3), (8, 4))),
+        _direct_certificate,
+        # a nested "matrix": null must not take the top-level matrix's place
+        lambda: _direct_certificate()._replace(trace={"matrix": None, "m": [None]}),
+    ],
+    ids=["4-2", "6-3", "8-4", "direct", "nested-matrix-key"],
+)
+def test_certificate_json_is_the_plain_indented_dump(make):
+    # the hand-laid matrix must give exactly json.dumps(payload, indent=2)
+    text = certificate_to_json(make())
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert certificate_to_json(certificate_from_json(text)) == text
 
 
 def test_verify_rejects_bad_version():

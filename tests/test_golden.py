@@ -121,6 +121,11 @@ GOLDEN = {
         ["shephard", "--n", "8", "--m", "16", "--seed", "1"],
         "dbd88557bd61609ab3cc1186e95f01e8477f6cb0c2db66175aa1faaa79ad13ab",
     ),
+    # the same 65,535 minors as JSON; det M = 0, since m = 16 exceeds the rank 8
+    "shephard-8-16-json": (
+        ["shephard", "--n", "8", "--m", "16", "--seed", "1", "--format", "json"],
+        "4921c1914199556b4dd48356419d9ec16507a11a8e1ff143d0c07eac336f2fc0",
+    ),
     # 16,383 minors of a k = 1 matrix with 10 distinct C bodies
     "shephard-12-14-json": (
         ["shephard", "--n", "12", "--m", "14", "--seed", "1", "--format", "json"],

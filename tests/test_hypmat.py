@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from collections import Counter
@@ -148,14 +149,40 @@ def _assert_zero_above(m, top):
 def test_principal_minors_order_and_values():
     for m in _minor_test_matrices():
         size, top = m.rows, len(rref(m)[1])
-        minors = list(_principal_minors(m))
+        den, minors = _principal_minors(m)
+        minors = list(minors)
         subsets = [subset for subset, _ in minors]
         assert subsets == _subsets_up_to(size, top)
         assert subsets == sorted(subsets, key=lambda s: (len(s), s))
         assert (subsets[-1:] == [tuple(range(size))]) == (top == size)
         for subset, value in minors:
-            assert value == det(principal_submatrix(m, subset))
+            assert F(value, den ** len(subset)) == det(principal_submatrix(m, subset))
         _assert_zero_above(m, top)
+
+
+def test_principal_minors_are_integer_multiples_of_the_rational_minors():
+    # oracle: each yielded value is the int D^|I| det M_I, D the lcm of M's
+    # denominators, on symmetric matrices of either sign and of any rank
+    rng = random.Random(41)
+    pool = [F(p, q) for p in range(-6, 7) for q in (1, 2, 3, 5)]
+    kinds = Counter()
+    for trial in range(60):
+        size = rng.randrange(1, 7)
+        rank = rng.randrange(1, size + 1)
+        w = [[rng.choice(pool) for _ in range(rank)] for _ in range(size)]
+        signs = [rng.choice((1, -1)) for _ in range(rank)]
+        m = RatMatrix([
+            [sum(d * a * b for d, a, b in zip(signs, u, v)) for v in w] for u in w
+        ])
+        den, minors = _principal_minors(m)
+        assert den == math.lcm(*(x.denominator for row in m.entries for x in row))
+        for subset, value in minors:
+            assert type(value) is int
+            assert value == den ** len(subset) * det(principal_submatrix(m, subset))
+        kinds["singular"] += det(m) == 0
+        kinds["non-hyperbolic"] += inertia(m).n_pos != 1
+        kinds["non-integer"] += den > 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_principal_minors_require_symmetric():
@@ -169,10 +196,11 @@ def test_principal_minors_vanish_above_dimension():
     n, m = 3, 6
     bodies = [random_box(rng, n) for _ in range(m)]
     matrix = build_matrix(bodies, 1, [random_box(rng, n)]).matrix
-    minors = list(_principal_minors(matrix))
+    den, minors = _principal_minors(matrix)
+    minors = list(minors)
     assert [subset for subset, _ in minors] == _subsets_up_to(m, n)
     for subset, value in minors:
-        assert value == det(principal_submatrix(matrix, subset))
+        assert F(value, den ** len(subset)) == det(principal_submatrix(matrix, subset))
     _assert_zero_above(matrix, n)
     assert any(value != 0 for subset, value in minors if len(subset) == n)
 
@@ -190,6 +218,13 @@ def test_violation_invariant_enforced():
         Violation((0,), F(1))  # (-1)^1 * 1 <= 0: not a witness
     with pytest.raises(ValueError):
         Violation((0, 1), F(-2))  # (-1)^2 * -2 <= 0: not a witness
+
+
+def test_violation_sorts_its_subset():
+    v = Violation([2, 0], F(5, 3))
+    assert v.subset == (0, 2) and v == Violation((0, 2), F(5, 3))
+    with pytest.raises(ValueError):
+        Violation([1, 0, 2], F(5, 3))  # (-1)^3 * 5/3 <= 0
 
 
 def test_violation_serialization():

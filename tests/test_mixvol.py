@@ -46,6 +46,18 @@ def test_body_tuple_validation():
         BodyTuple(0, ())
 
 
+def test_body_tuple_keeps_the_envelope_and_normalizes_entries():
+    with pytest.raises(ValueError, match="exceeds the supported envelope"):
+        BodyTuple(13, ((unit_cube(13), 13),))
+    with pytest.raises(ValueError, match="all bodies must live in dimension n"):
+        BodyTuple(3, ((unit_cube(3), 1), (unit_cube(2), 2)))
+    cube = unit_cube(3)
+    t = BodyTuple(3, [(cube, 1), [cube, F(1)], (cube, 1)])
+    assert t.entries == ((cube, 1), (cube, 1), (cube, 1))
+    assert all(type(mult) is int for _, mult in t.entries)
+    assert t == BodyTuple(3, ((cube, 1),) * 3) and hash(t) == hash(BodyTuple(3, ((cube, 1),) * 3))
+
+
 def _with_zero_width(rng, box):
     widths = list(box.widths)
     widths[rng.randrange(box.n)] = F(0)
