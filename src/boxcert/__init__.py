@@ -1,91 +1,3 @@
 """Exact mixed volumes of boxes, hyperbolicity checks, and violation certificates."""
 
-from .boxes import (
-    BoxBody,
-    box_from_widths,
-    minkowski_combine,
-    point,
-    unit_cube,
-    volume,
-)
-from .diffop import (
-    PowerCombination,
-    SlabOperator,
-    SlabPolynomial,
-    apply_op,
-    contract,
-    derivative_along,
-    express_as_powers,
-    h_vector_cube,
-    hr_check,
-    hr_form,
-    hr_signature,
-    op_add,
-    op_from_box,
-    op_scale,
-    op_to_json,
-    pairing_matrix,
-    primitive_gram,
-    primitive_space_basis,
-    volume_polynomial,
-)
-from .exactlin import (
-    Inertia,
-    Rat,
-    RatMatrix,
-    det,
-    dot,
-    inertia,
-    nullspace_basis,
-    principal_submatrix,
-    rat,
-    rat_from_str,
-    rat_to_str,
-    rref,
-)
-from .fedotov import (
-    Certificate,
-    FedotovMatrix,
-    PipelineData,
-    SearchStats,
-    ShephardReport,
-    VerificationReport,
-    build_matrix,
-    certificate_from_json,
-    certificate_to_json,
-    construct_counterexample,
-    construct_counterexample_k2,
-    double_polarization_check,
-    load_certificate,
-    pipeline_base_k2,
-    random_search,
-    reduce_to_general_k,
-    save_certificate,
-    shephard_verify,
-    verify_certificate,
-    width_classes,
-)
-from .hypmat import (
-    SUBSET_ENUMERATION_CAP,
-    Violation,
-    af_form_check,
-    class_matrix,
-    equality_witness,
-    find_violation,
-    greedy_core,
-    is_hyperbolic,
-    shrink_with_witness,
-    sylvester_violation,
-    witness_forms,
-)
-from .mixvol import (
-    BodyTuple,
-    af_check,
-    body_tuple,
-    iterated_af_check,
-    mixed_volume,
-    mixed_volume_via_derivatives,
-    polarization_identity_check,
-)
-
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from math import comb
 from typing import Optional
 
 from .boxes import BoxBody, box_from_widths, unit_cube
@@ -300,11 +299,12 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
     cube = unit_cube(n)
     c_bodies = [cube] * (n - 2 * k)
     basis = primitive_space_basis(k, cube, c_bodies)
-    expected_dim = comb(n, k) - comb(n, k - 1)
+    h = h_vector_cube(n)
+    expected_dim, expected_rank = h[k] - h[k - 1], h[k]
     pairing, signature_ok = hr_signature(n, k, basis)
     pairing_rank = pairing.n_pos + pairing.n_neg
     elements = []
-    # the dimension, the signature (which fixes the rank at h_k = C(n, k)),
+    # the dimension, the signature (which fixes the rank at h_k),
     # and per element the Hodge-Riemann verdict
     ok = len(basis) == expected_dim and signature_ok
     for op in basis:
@@ -321,18 +321,18 @@ def cmd_hodge_primitive(args: argparse.Namespace) -> int:
     result = {
         "n": n,
         "k": k,
-        "h_vector": h_vector_cube(n),
+        "h_vector": h,
         "dimension": len(basis),
         "expected_dimension": expected_dim,
         "pairing_rank": pairing_rank,
-        "expected_pairing_rank": comb(n, k),
+        "expected_pairing_rank": expected_rank,
         "ok": ok,
         "basis": elements,
     }
     lines = [
-        f"h-vector: {result['h_vector']}",
+        f"h-vector: {h}",
         f"primitive space dimension: {len(basis)} (expected {expected_dim})",
-        f"pairing rank: {pairing_rank} (expected {comb(n, k)})",
+        f"pairing rank: {pairing_rank} (expected {expected_rank})",
         *(
             f"basis[{idx}]: form value {element['form_value']}, "
             f"signed sign ok: {element['signed_value_nonneg']}"

@@ -11,7 +11,8 @@ matrices, runs the pipeline at k = 2, lifts it to any k > 2 by double
 polarization, hunts for direct violations at random, and independently
 re-verifies emitted certificates with the coordinate DP of the mixvol module.
 The builder checks the witness claims in one place for the base and the
-lift, and the lift reads its signs from ``polarization_signs``.
+lift, and the lift reads its signs from ``polarization_signs``. The Shephard
+check (k = 1) reads hypmat's one minor-sign scan, ``minor_sign_violations``.
 
 A matrix is built as its table over width classes in one integer pass:
 every entry shares the auxiliary bodies C, so their permanent on every
@@ -56,10 +57,10 @@ from .exactlin import (
 from .hypmat import (
     SUBSET_ENUMERATION_CAP,
     Violation,
-    _principal_minors,
     class_matrix,
     find_violation,
     is_hyperbolic,
+    minor_sign_violations,
     sylvester_violation,
     violates_sign,
     witness_forms,
@@ -254,22 +255,18 @@ class ShephardReport(NamedTuple):
 def shephard_verify(fm: FedotovMatrix) -> ShephardReport:
     """Assert (-1)^|I| det M_I <= 0 for every principal subset (k = 1 only).
 
-    All 2^m - 1 subsets are checked: ``_principal_minors`` yields those up to
-    the rank, and every larger one has minor 0, which satisfies the sign
-    condition. ``determinant`` is det M, the full set's minor when the rank
-    is m and 0 otherwise. A violation in the report indicates an
-    implementation bug: for box inputs the k = 1 matrix is always hyperbolic.
+    All 2^m - 1 subsets are checked: ``minor_sign_violations`` scans those
+    up to the rank, and every larger one has minor 0, which satisfies the
+    sign condition. Zero entries are accepted, so the scan is not routed
+    through ``sylvester_violation``'s positivity check. A violation in the
+    report indicates an implementation bug: for box inputs the k = 1 matrix
+    is always hyperbolic.
     """
     if fm.k != 1:
         raise ValueError("shephard_verify applies to k = 1 matrices")
-    violations = []
-    den, minors = _principal_minors(fm.matrix)
-    subset, value = (), 1  # det of a 0x0 matrix is 1
-    for subset, value in minors:
-        if violates_sign(subset, value):
-            violations.append(Violation(subset, Fraction(value, den ** len(subset))))
-    determinant = Fraction(value, den**fm.m) if len(subset) == fm.m else Fraction(0)
-    return ShephardReport(not violations, 2**fm.m - 1, tuple(violations), determinant)
+    matrix = fm.matrix
+    violations = tuple(minor_sign_violations(matrix))
+    return ShephardReport(not violations, 2**fm.m - 1, violations, det(matrix))
 
 
 class _CertificateFields(NamedTuple):
@@ -326,12 +323,9 @@ class VerificationReport(NamedTuple):
 class PipelineData(NamedTuple):
     """Intermediate state of the k = 2 construction, reused by the lift."""
 
-    n: int
     alpha: SlabOperator
-    bodies: tuple[BoxBody, ...]
     x: tuple[Rat, ...]
     y: tuple[Rat, ...]
-    c_bodies: tuple[BoxBody, ...]
     fedotov: FedotovMatrix
     pair_xy: Rat
     pair_xx: Rat
@@ -394,7 +388,7 @@ def pipeline_base_k2(n: int) -> PipelineData:
         fm, x, y, expected, "quadratic form", "operator value",
         "primitivity pairing is {}, expected 0",
     )
-    return PipelineData(n, alpha, bodies, x, y, c_bodies, fm, *pairs)
+    return PipelineData(alpha, x, y, fm, *pairs)
 
 
 def construct_counterexample_k2(n: int) -> Certificate:
@@ -423,7 +417,7 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     independently and compared, and <y~, M~ y~> > 0 is checked, as the
     verifier will.
     """
-    n = base.n
+    n = base.fedotov.n
     if k < 2 or 2 * k > n:
         raise ValueError(f"need 2 <= k <= n/2, got k={k}, n={n}")
     cube = unit_cube(n)
@@ -433,13 +427,12 @@ def reduce_to_general_k(base: PipelineData, k: int) -> Certificate:
     bodies = []
     x_t = []
     y_t = []
-    m_plus = len(base.bodies)
+    m_plus = base.fedotov.m
     y_delta = (1,) + (0,) * (k - 1)
-    for i in range(m_plus):
-        widths = base.bodies[i].widths
+    for i, base_body in enumerate(base.fedotov.bodies):
         for delta, sign in signs:
             a, b = delta[0] + delta[1], sum(delta[2:])
-            body = BoxBody(n, tuple(a * w + b for w in widths))
+            body = BoxBody(n, tuple(a * w + b for w in base_body.widths))
             _check(body.is_nondegenerate, f"degenerate lifted body at {(i, delta)}")
             labels.append((i, delta))
             bodies.append(body)

@@ -21,7 +21,9 @@ integers, and x and y once each, and divides only where it returns a form
 value; ``af_form_check`` and ``equality_witness`` read their pairings
 from ``witness_forms`` too. The principal minors (``_principal_minors``)
 are the integers det N_I of M scaled once to N = D M, which have the signs
-of det M_I; only a minor that is reported becomes the Fraction
+of det M_I, and that format stays in this module: ``minor_sign_violations``
+is the one minor-sign scan, which both ``sylvester_violation`` and the
+Shephard check read, and only a violation it yields becomes the Fraction
 det N_I / D^|I|. ``violates_sign`` is the one minor-sign rule, which the
 verifier's det M_I check also reads, and ``is_hyperbolic`` the one
 hyperbolicity test, which ``random_search`` asks before it enumerates.
@@ -30,6 +32,7 @@ hyperbolicity test, which ``random_search`` asks before it enumerates.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -204,16 +207,19 @@ def _integer_minors(rows: list[list[int]], top: int) -> Iterator[tuple[tuple[int
     det N_I, all the last level reads.
     """
     size = len(rows)
-    # (I, det N_I, its state or None); row t of a state holds b_tl for
-    # l >= t, from b_tt on. The last level reads only det N_{I+j} = b_jj, so
-    # the states kept for it are the diagonals alone.
+    # (det N_I, its state or None) for each I of the level, in the order of
+    # combinations(range(size), |I|): each subset is built once, as a child
+    # of its prefix, and the parents come in that order. Row t of a state
+    # holds b_tl for l >= t, from b_tt on. The last level reads only
+    # det N_{I+j} = b_jj, so the states kept for it are the diagonals alone.
     triangle = [row[i:] for i, row in enumerate(rows)]
-    level: list = [((), 1, [b_t[0] for b_t in triangle] if top == 1 else triangle)]
+    level: list = [(1, [b_t[0] for b_t in triangle] if top == 1 else triangle)]
     for card in range(1, top + 1):
         last = card == top
         diagonal = card == top - 1
         following = []
-        for pos, (subset, value, state) in enumerate(level):
+        for pos, subset in enumerate(combinations(range(size), card - 1)):
+            value, state = level[pos]
             level[pos] = None  # each state is read once; let it go
             first = subset[-1] + 1 if subset else 0
             for j in range(first, size):
@@ -243,8 +249,21 @@ def _integer_minors(rows: list[list[int]], top: int) -> Iterator[tuple[tuple[int
                         ]
                 yield child, child_value
                 if not last:
-                    following.append((child, child_value, child_state))
+                    following.append((child_value, child_state))
         level = following
+
+
+def minor_sign_violations(m: RatMatrix) -> Iterator[Violation]:
+    """Each principal subset with (-1)^|I| det M_I > 0, in the order of
+    ``_principal_minors``, as a Violation whose value is det N_I / D^|I|.
+
+    The sign is read off the integer det N_I; only a violation becomes a
+    Fraction.
+    """
+    den, minors = _principal_minors(m)
+    for subset, value in minors:
+        if violates_sign(subset, value):
+            yield Violation(subset, Fraction(value, den ** len(subset)))
 
 
 def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
@@ -256,11 +275,7 @@ def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     hyperbolic.
     """
     _require_symmetric_positive(m)
-    den, minors = _principal_minors(m)
-    for subset, value in minors:
-        if violates_sign(subset, value):
-            return Violation(subset, Fraction(value, den ** len(subset)))
-    return None
+    return next(minor_sign_violations(m), None)
 
 
 def af_form_check(m: RatMatrix, x: Sequence[Rat], y: Sequence[Rat]) -> bool:

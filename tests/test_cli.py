@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -237,6 +238,40 @@ def test_cli_import_skips_the_dataclass_machinery_and_selftest():
     assert sources
     for path in sources:
         assert "@dataclass" not in path.read_text(encoding="utf-8"), path.name
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        pytest.param("boxcert.exactlin", ["boxcert", "boxcert.exactlin"], id="exactlin"),
+        pytest.param(
+            "boxcert.boxes", ["boxcert", "boxcert.boxes", "boxcert.exactlin"], id="boxes"
+        ),
+    ],
+)
+def test_package_import_loads_no_other_module(module, loaded):
+    # the package exports only __version__, so importing one module loads
+    # that module and what it imports, not the whole package
+    probe = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'boxcert'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, f"{loaded}\n"), result.stderr
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a leading underscore keeps a name inside its module; hypmat's integer
+    # minors, for one, are read through minor_sign_violations
+    for path in sorted(Path(boxcert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or node.module.startswith("boxcert"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"
 
 
 def test_max_core_size_flag_removed(capsys):

@@ -22,6 +22,7 @@ from boxcert.fedotov import (
     pipeline_base_k2,
     random_instance,
     SearchStats,
+    ShephardReport,
     random_search,
     reduce_to_general_k,
     save_certificate,
@@ -30,7 +31,12 @@ from boxcert.fedotov import (
     width_classes,
 )
 from boxcert.hypmat import (
-    Violation, is_hyperbolic, sylvester_violation, violates_sign, witness_forms
+    Violation,
+    _principal_minors,
+    is_hyperbolic,
+    sylvester_violation,
+    violates_sign,
+    witness_forms,
 )
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import naive_permanent_mixed_volume, random_box
@@ -240,6 +246,42 @@ def test_shephard_verify_matches_brute_force():
     assert shephard_verify(planted).violations
 
 
+def _loop_shephard_verify(fm):
+    """Oracle: the Shephard check as one loop over ``_principal_minors``,
+    with det M the last minor when it is the full set, and 0 otherwise."""
+    violations = []
+    den, minors = _principal_minors(fm.matrix)
+    subset, value = (), 1
+    for subset, value in minors:
+        if violates_sign(subset, value):
+            violations.append(Violation(subset, F(value, den ** len(subset))))
+    determinant = F(value, den**fm.m) if len(subset) == fm.m else F(0)
+    return ShephardReport(not violations, 2**fm.m - 1, tuple(violations), determinant)
+
+
+def test_shephard_verify_matches_the_minor_loop():
+    # seeded k = 1 instances, plus homothets (rank < m, det 0), a body with
+    # a zero width (zero entries, which the check accepts) and a planted
+    # table with violations
+    fms = []
+    for n, m, seed in ((2, 3, 0), (3, 5, 1), (4, 6, 2), (5, 4, 3), (6, 7, 4)):
+        bodies, c_bodies = random_instance(n, 1, m, seed, 0)
+        fms.append(build_matrix(bodies, 1, c_bodies))
+    k = BoxBody(3, (1, 2, 3))
+    fms.append(build_matrix([k, k.scale(3), k.scale(F(1, 2))], 1, [unit_cube(3)]))
+    fms.append(build_matrix([k, BoxBody(3, (0, 0, 1)), BoxBody(3, (0, 2, 1))], 1, [k]))
+    a, b, c = (BoxBody(3, (1, 1, w)) for w in (1, 2, 3))
+    fms.append(build_matrix([a, b, a, c, b], 1, [k])._replace(
+        table=RatMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
+    ))
+    for fm in fms:
+        assert shephard_verify(fm) == _loop_shephard_verify(fm)
+    assert fms[5].matrix.rows > _rank(fms[5].matrix)
+    assert shephard_verify(fms[5]).determinant == 0
+    assert not fms[6].matrix.is_positive and shephard_verify(fms[6]).ok
+    assert shephard_verify(fms[-1]).violations
+
+
 def test_shephard_verify_requires_k1():
     fm = build_matrix([unit_cube(4)] * 2, 2, [])
     with pytest.raises(ValueError):
@@ -252,7 +294,7 @@ def test_pipeline_base_k2_identities():
     assert base.pair_xx > 0
     assert base.x[-1] == 0 and base.y[-1] == 1
     assert all(v == 0 for v in base.y[:-1])
-    assert base.bodies[-1] == unit_cube(4)
+    assert base.fedotov.bodies[-1] == unit_cube(4)
     assert not is_hyperbolic(base.fedotov.matrix)
 
 
@@ -315,7 +357,7 @@ def test_reduction_n6_k3_full():
     assert verify_certificate(cert).ok
     cube = unit_cube(6)
     for (i, delta), body in zip(cert.labels, cert.bodies):
-        pattern = [(delta[0] + delta[1], base.bodies[i]), (sum(delta[2:]), cube)]
+        pattern = [(delta[0] + delta[1], base.fedotov.bodies[i]), (sum(delta[2:]), cube)]
         assert body == minkowski_combine(pattern)
 
 

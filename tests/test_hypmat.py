@@ -28,8 +28,10 @@ from boxcert.hypmat import (
     find_violation,
     greedy_core,
     is_hyperbolic,
+    minor_sign_violations,
     shrink_with_witness,
     sylvester_violation,
+    violates_sign,
     witness_forms,
     witness_implies_two_positive,
 )
@@ -240,6 +242,28 @@ def test_equivalence_inertia_vs_minors():
         assert is_hyperbolic(m) == (sylvester_violation(m) is None)
 
 
+def test_minor_sign_violations_are_every_violation_in_minor_order():
+    # oracle: every violating minor of ``_principal_minors``, in its order,
+    # as det N_I / D^|I|; the scan's first item is sylvester_violation's
+    rng = random.Random(23)
+    scanned = 0
+    for _ in range(80):
+        m = random_symmetric_positive(rng, rng.randrange(2, 7))
+        if is_hyperbolic(m):
+            continue
+        den, minors = _principal_minors(m)
+        expected = [
+            Violation(subset, F(value, den ** len(subset)))
+            for subset, value in minors
+            if violates_sign(subset, value)
+        ]
+        found = list(minor_sign_violations(m))
+        assert found == expected and found
+        assert found[0] == sylvester_violation(m)
+        scanned += 1
+    assert scanned >= 20, scanned
+
+
 def test_af_form_check_basics():
     m = RatMatrix([[1, 2], [2, 1]])
     x = (F(1), F(2))
@@ -442,7 +466,7 @@ def _duplicated_and_shuffled(bodies, c_bodies, k, x, y, seed):
 @pytest.fixture(scope="module")
 def pipeline_matrices():
     lifted = reduce_to_general_k(pipeline_base_k2(6), 3)
-    cases = [(b.bodies, b.c_bodies, 2, b.x, b.y) for b in map(pipeline_base_k2, (4, 5))]
+    cases = [(b.fedotov.bodies, b.fedotov.c_bodies, 2, b.x, b.y) for b in map(pipeline_base_k2, (4, 5))]
     cases.append((lifted.bodies, lifted.c_bodies, 3, lifted.x, lifted.y))
     return [_duplicated_and_shuffled(*case, seed=n) for n, case in enumerate(cases)]
 
