@@ -167,6 +167,8 @@ def cmd_shephard(args: argparse.Namespace) -> int:
         data = _load_json(args.file)
         try:
             n = json_int(_field(data, "n", "input file"), "n")
+            if n < 2:
+                raise UsageError("need n >= 2")
             require_dimension(n)
             bodies, c_bodies = (
                 [_box_from_entry(n, e) for e in json_list(_field(data, key, "input file"), key)]

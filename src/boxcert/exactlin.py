@@ -116,7 +116,8 @@ class RatMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, rows: Iterable[Iterable]):
-        grid = tuple(tuple(rat(x) for x in row) for row in rows)
+        rows = map(tuple, rows)  # an all-Fraction row (a class table's, the loader's) is kept
+        grid = tuple(r if set(map(type, r)) <= {Fraction} else tuple(map(rat, r)) for r in rows)
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", grid)

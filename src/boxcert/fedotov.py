@@ -30,8 +30,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, repeat
-from math import factorial
+from itertools import chain, combinations, repeat
+from math import factorial, prod
 from operator import add, lshift, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -65,7 +65,7 @@ from .hypmat import (
     violates_sign,
     witness_forms,
 )
-from .mixvol import MAX_DIMENSION, BodyTuple, mixed_volume
+from .mixvol import MAX_DIMENSION, mixed_volumes
 
 CERTIFICATE_VERSION = 1
 
@@ -541,20 +541,20 @@ def random_search(
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate through the independent evaluation path.
 
-    The table over the stored bodies' width classes is recomputed from the
-    widths by the coordinate DP of the mixvol module (the builder's integer
-    table shares no code with it), one ``mixed_volume`` per class pair, with
-    the auxiliary bodies grouped by width class. The stored matrix is read
-    once, by the entry pass: each class's first stored row is compared with
-    the recomputed row by value and then stands for the class, so the later
-    rows of an honest class, which share its entry objects, compare by
-    identity. The matrix is symmetric and positive exactly when it matches a
-    positive table. Every claim is then checked on the table: the pairings
-    <x,My> = 0 and <x,Mx> > 0 with <y,My> > 0 (a positive-definite Gram
-    matrix of x and y, so the form is positive on a plane), all three from
-    one integer scaling of the table (``witness_forms``), and det M_I,
-    recomputed by fraction-free elimination, with its sign condition. With
-    no witness, both stored pairings must be null. Bounds come first.
+    The class table is recomputed from the widths by the mixvol module's
+    coordinate DP, which shares no code with the builder's integer table:
+    batched ``mixed_volumes`` passes over the class pairs a <= b, each of at
+    most about 2^16 slot x state values. The stored matrix is read once, by
+    the entry pass: each class's first stored row is compared with the
+    recomputed row by value and then stands for the class, so the later rows
+    of an honest class, which share its entry objects, compare by identity.
+    The matrix is symmetric and positive exactly when it matches a positive
+    table. Every claim is then checked on the table: the pairings <x,My> = 0
+    and <x,Mx> > 0 with <y,My> > 0 (a positive-definite Gram matrix of x and
+    y, so the form is positive on a plane), all three from one integer
+    scaling of the table (``witness_forms``), and det M_I, by fraction-free
+    elimination, with its sign condition. With no witness, both stored
+    pairings must be null. Bounds come first.
     """
 
     def fail(reason: str) -> VerificationReport:
@@ -580,13 +580,14 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if not box.is_nondegenerate:
             return fail("degenerate body in certificate")
     reps, classes = width_classes(cert.bodies)
-    tail = tuple(Counter(cert.c_bodies).items())
-
-    def entry(a: int, b: int) -> Rat:
-        pair = ((reps[a], 2 * k),) if a == b else ((reps[a], k), (reps[b], k))
-        return mixed_volume(BodyTuple(n, pair + tail))
-
-    table = _symmetric_table(len(reps), entry)
+    tail = Counter(cert.c_bodies)
+    mults = (k, k, *tail.values())
+    per_pass = max(1, 2**16 // prod(m + 1 for m in mults))
+    # the pairs a <= b in _symmetric_table's order; the diagonal A[k], A[k] is A[2k]
+    pairs = [(reps[a], reps[b], *tail) for a in range(len(reps)) for b in range(a, len(reps))]
+    passes = range(0, len(pairs), per_pass)
+    values = chain.from_iterable(mixed_volumes(n, mults, pairs[s : s + per_pass]) for s in passes)
+    table = _symmetric_table(len(reps), lambda a, b: next(values))
     expected_rows = [tuple(row[c] for c in classes) for row in table.entries]
     for i, row in enumerate(cert.matrix.entries):
         expected = expected_rows[classes[i]]

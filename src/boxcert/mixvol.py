@@ -5,9 +5,9 @@ V(K_1[m_1], ..., K_R[m_R]) = (prod_r m_r! / n!) [lambda^m] of that product
 of n linear forms. ``mixed_volume`` extracts the coefficient exactly, by an
 integer dynamic programme over the coordinates t. It is the evaluator for
 single entries (the ``mixvol`` command, the Alexandrov-Fenchel checks, the
-self-tests) and for certificate verification, one call per class pair. A
-whole k-fold matrix, whose entries share their auxiliary bodies, is built by
-its own table evaluation in the fedotov module, which calls nothing here.
+self-tests) and, as ``mixed_volumes``, for certificate verification, in
+batched passes over the class pairs. A k-fold matrix is built by its own
+table evaluation in the fedotov module, which calls nothing here.
 
 A second, independent evaluation path goes through the volume polynomial:
 V(K_1[m_1], ..., K_R[m_R]) = (1/n!) D_{K_1}^{m_1} ... D_{K_R}^{m_R} V, the
@@ -24,7 +24,9 @@ Supported envelope: n <= 12 (desk-scale instances have n <= 8).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import repeat
+from math import factorial, prod
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .boxes import BoxBody, minkowski_combine
@@ -70,39 +72,48 @@ def body_tuple(*bodies: BoxBody) -> BodyTuple:
 
 
 def mixed_volume(t: BodyTuple) -> Rat:
-    """Exact mixed volume: the lambda^m coefficient, by a DP over coordinates.
+    """Exact mixed volume: the lambda^m coefficient, ``mixed_volumes``' one-slot case."""
+    return mixed_volumes(t.n, [mult for _, mult in t.entries], [[box for box, _ in t.entries]])[0]
 
-    The state is how many factors each entry has used, prod_r (m_r + 1)
-    states; at coordinate t each state passes value * (integer width) on to
-    the state one entry further. Entry r's count is a bit field starting at
-    2^b - 1 - m_r (b = m_r.bit_length()) under a guard bit, which is set
-    exactly when the count would pass m_r: one AND per transition.
+
+def mixed_volumes(n: int, mults: Sequence[int], slots: Sequence[Sequence[BoxBody]]) -> list[Rat]:
+    """V(B_1[m_1], ..., B_R[m_R]) for each slot (B_1, ..., B_R), by one DP over coordinates.
+
+    The state is how many factors each entry has used: entry r's count is a
+    bit field from 2^b - 1 - m_r (b = m_r.bit_length()) under a guard bit,
+    set exactly when the count would pass m_r. At coordinate t each state
+    passes its value times the entry's integer width one entry further. A
+    value is a list of integers, one per slot, and starts at prod_r m_r!;
+    each distinct body is scaled to integers once.
     """
-    steps = []
+    bodies = {id(box): box for slot in slots for box in slot}.values()
+    if min(mults) < 1 or sum(mults) != n or any(box.n != n for box in bodies):
+        raise ValueError(f"need multiplicities >= 1 summing to {n}, and bodies in dimension {n}")
+    scaled = {id(box): integer_row(box.widths) for box in bodies}
+    steps, dens = [], [factorial(n)] * len(slots)
     start = guard = shift = 0
-    den = scale = 1
-    for box, mult in t.entries:
-        widths, d = integer_row(box.widths)
+    for r, mult in enumerate(mults):
+        rows = [scaled[id(slot[r])] for slot in slots]
         bits = mult.bit_length()
         start |= ((1 << bits) - 1 - mult) << shift
         guard |= 1 << (shift + bits)
-        steps.append((widths, 1 << shift))
+        steps.append(([[widths[t] for widths, _ in rows] for t in range(n)], 1 << shift))
+        dens = [den * d**mult for den, (_, d) in zip(dens, rows)]
         shift += bits + 1
-        den *= d**mult
-        scale *= factorial(mult)
-    layer = {start: 1}
-    for coord in range(t.n):
-        following: dict[int, int] = {}
-        get = following.get
-        for widths, step in steps:
-            width = widths[coord]
-            if width:
+    layer = {start: [prod(map(factorial, mults))] * len(slots)}
+    for coord in range(n):
+        following: dict[int, list[int]] = {}
+        for columns, step in steps:
+            widths = columns[coord]
+            if any(widths):
                 for state, value in layer.items():
                     target = state + step
                     if not target & guard:
-                        following[target] = get(target, 0) + value * width
+                        terms = map(mul, value, widths)
+                        held = following.get(target)
+                        following[target] = list(terms if held is None else map(add, held, terms))
         layer = following
-    return Fraction(scale * sum(layer.values()), factorial(t.n) * den)
+    return [Fraction(v, den) for v, den in zip(next(iter(layer.values()), repeat(0)), dens)]
 
 
 def mixed_volume_via_derivatives(t: BodyTuple) -> Rat:
@@ -133,17 +144,16 @@ def iterated_af_check(
     """Power form of the iterated quadratic inequality.
 
     lhs = V(K1[k], K2[l], C...)^(k+l),
-    rhs = V(K1[k+l], C...)^k * V(K2[k+l], C...)^l.
+    rhs = V(K1[k+l], C...)^k * V(K2[k+l], C...)^l, where V(K[k+l], C...) is
+    V(K[k], K[l], C...): the three share one ``mixed_volumes`` pass.
     """
     n = k1.n
     if k < 1 or l < 1 or k + l > n:
         raise ValueError("need k, l >= 1 and k + l <= n")
     if len(c_bodies) != n - k - l:
         raise ValueError(f"expected {n - k - l} auxiliary bodies")
-    tail = tuple((c, 1) for c in c_bodies)
-    mixed = mixed_volume(BodyTuple(n, ((k1, k), (k2, l)) + tail))
-    pure1 = mixed_volume(BodyTuple(n, ((k1, k + l),) + tail))
-    pure2 = mixed_volume(BodyTuple(n, ((k2, k + l),) + tail))
+    mults, c = (k, l) + (1,) * len(c_bodies), tuple(c_bodies)
+    mixed, pure1, pure2 = mixed_volumes(n, mults, [(k1, k2, *c), (k1, k1, *c), (k2, k2, *c)])
     lhs = mixed ** (k + l)
     rhs = pure1**k * pure2**l
     return lhs, rhs, lhs >= rhs
@@ -156,7 +166,7 @@ def polarization_identity_check(
 
     lhs = V(R_1, ..., R_k, tail), rhs = (1/k!) * sum over nonzero sign
     patterns delta of (-1)^(k + |delta|) V((delta . R)[k], tail), the terms
-    of ``polarization_signs``.
+    of ``polarization_signs``, in one ``mixed_volumes`` pass.
     """
     k = len(r_bodies)
     if k < 1:
@@ -167,9 +177,8 @@ def polarization_identity_check(
     if tail_total != n - k:
         raise ValueError(f"tail multiplicities sum to {tail_total}, expected {n - k}")
     lhs = mixed_volume(BodyTuple(n, tuple((r, 1) for r in r_bodies) + tail))
-    rhs = Fraction(0)
-    for delta, sign in polarization_signs(k):
-        combined = minkowski_combine(list(zip(delta, r_bodies)))
-        rhs += sign * mixed_volume(BodyTuple(n, ((combined, k),) + tail))
-    rhs /= factorial(k)
+    signs, rest = polarization_signs(k), [box for box, _ in tail]
+    combined = [minkowski_combine(list(zip(delta, r_bodies))) for delta, _ in signs]
+    values = mixed_volumes(n, (k, *(mult for _, mult in tail)), [(c, *rest) for c in combined])
+    rhs = sum(sign * v for (_, sign), v in zip(signs, values)) / factorial(k)
     return lhs, rhs, lhs == rhs

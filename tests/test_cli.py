@@ -571,6 +571,20 @@ def test_shephard_file_shape_checked_before_work(
     _usage_error(capsys, ["shephard", "--file", str(path)], message)
 
 
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_shephard_file_needs_two_dimensions(tmp_path, capsys, monkeypatch, n):
+    # the seeded path's bound and wording, checked before any body is read
+    def refuse(*_):
+        raise AssertionError("build_matrix ran on a malformed instance")
+
+    monkeypatch.setattr("boxcert.cli.build_matrix", refuse)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": n, "bodies": [{"widths": ["1"]}], "c_bodies": []}))
+    for argv in (["shephard", "--file", str(path)], ["shephard", "--n", str(n), "--m", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "usage error: need n >= 2\n")
+
+
 def test_mixvol_multiplicity_sum_checked_before_work(tmp_path, capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("a mixed volume was evaluated")

@@ -54,6 +54,22 @@ def lu_det(m):
     return sign * prod
 
 
+def test_ratmatrix_coerces_each_row_once():
+    # an all-Fraction row is kept as it is; any other row goes through rat,
+    # which makes ints and strings exact and rejects a float anywhere
+    row = (F(1), F(2, 3))
+    m = RatMatrix(iter([row, [1, "3/2"], (x for x in (F(5), 7))]))
+    assert m.entries[0] is row
+    assert m.entries == ((F(1), F(2, 3)), (F(1), F(3, 2)), (F(5), F(7)))
+    assert all(type(x) is F for r in m.entries for x in r)
+    for rows in ([[F(1), 0.5]], [[0.5, F(1)]], [[F(1)], [1.0]]):
+        with pytest.raises(TypeError, match="floats are not allowed"):
+            RatMatrix(rows)
+    with pytest.raises(ValueError, match="ragged rows"):
+        RatMatrix([[F(1)], [F(1), F(2)]])
+    assert RatMatrix([]).entries == () and RatMatrix([[]]).entries == ((),)
+
+
 def test_det_identity():
     assert det(RatMatrix.identity(3)) == 1
 

@@ -1,7 +1,9 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
+from math import ceil, prod
 
 import pytest
 
@@ -38,7 +40,7 @@ from boxcert.hypmat import (
     violates_sign,
     witness_forms,
 )
-from boxcert.mixvol import BodyTuple, mixed_volume
+from boxcert.mixvol import BodyTuple, mixed_volume, mixed_volumes
 from boxcert.selftest import naive_permanent_mixed_volume, random_box
 
 
@@ -102,9 +104,17 @@ def test_build_matrix_repeated_widths_match_reference():
                 assert fm.matrix[i, j] == mixed_volume(t)
 
 
-def _entrywise_table(fm, oracle=mixed_volume):
-    """The class table of ``fm`` again, one oracle call per class pair."""
+def _entrywise_table(fm, oracle=None):
+    """The class table of ``fm`` again, entry by entry: by default every class
+    pair in one ``mixed_volumes`` pass of the coordinate DP (whose one-tuple
+    case is ``mixed_volume``), else one ``oracle`` call per class pair.
+    """
     reps, _ = width_classes(fm.bodies)
+    if oracle is None:
+        mults = (fm.k, fm.k) + (1,) * len(fm.c_bodies)
+        slots = [(a, b, *fm.c_bodies) for a in reps for b in reps]
+        values = iter(mixed_volumes(fm.n, mults, slots))
+        return [[next(values) for _ in reps] for _ in reps]
     tail = tuple((c, 1) for c in fm.c_bodies)
     return [
         [oracle(BodyTuple(fm.n, ((a, fm.k), (b, fm.k)) + tail)) for b in reps]
@@ -549,6 +559,82 @@ def test_verify_certificate_shares_no_code_with_the_builder(monkeypatch, reducti
     for name in ("_kfold_table", "build_matrix"):
         monkeypatch.setattr(f"boxcert.fedotov.{name}", forbidden)
     assert [verify_certificate(cert) for cert in certs] == expected
+
+
+def _pass_size(cert):
+    """The verifier's slots per ``mixed_volumes`` pass: 2^16 over the DP's states."""
+    return max(1, 2**16 // prod(m + 1 for m in (cert.k, cert.k, *Counter(cert.c_bodies).values())))
+
+
+def test_verify_certificate_batches_the_class_pairs(monkeypatch, reduction_n6_k3, cert_12_4):
+    # one mixed_volumes call per pass over the pairs a <= b, and no
+    # one-tuple mixed_volume; (12,4)'s four cubes give 125 states, so
+    # its 1,378 pairs take three passes of at most 524 slots
+    passes = []
+
+    def counting(n, mults, slots):
+        passes.append(len(slots))
+        return mixed_volumes(n, mults, slots)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_certificate called the one-tuple mixed_volume")
+
+    monkeypatch.setattr("boxcert.fedotov.mixed_volumes", counting)
+    monkeypatch.setattr("boxcert.mixvol.mixed_volume", forbidden)
+    monkeypatch.setattr("boxcert.fedotov.mixed_volume", forbidden, raising=False)
+    cases = ((construct_counterexample_k2(4), 1), (reduction_n6_k3, 1), (cert_12_4, 3))
+    for cert, expected in cases:
+        passes.clear()
+        assert verify_certificate(cert).ok
+        size = len(set(width_classes(cert.bodies)[1]))
+        pairs = size * (size + 1) // 2
+        assert len(passes) == ceil(pairs / _pass_size(cert)) == expected
+        assert sum(passes) == pairs and max(passes) <= _pass_size(cert)
+
+
+def test_verify_certificate_passes_stay_bounded_with_many_classes(monkeypatch):
+    # k = 1 at n = 12 with ten distinct C bodies: 2^12 DP states, so a pass
+    # holds 16 of the 20,100 class pairs; the table itself is not evaluated
+    rng = random.Random("many-classes")
+    bodies = tuple(random_box(rng, 12) for _ in range(200))
+    c_bodies = tuple(random_box(rng, 12) for _ in range(10))
+    assert len(set(bodies)) == 200 and len(set(c_bodies)) == 10
+    ones = [[F(1)] * 200] * 200
+    cert = Certificate(12, 1, tuple(range(200)), bodies, c_bodies, (), (), None, None,
+                       RatMatrix(ones), (0, 1), F(0))
+    passes = []
+
+    def recording(n, mults, slots):
+        passes.append((n, tuple(mults), [tuple(slot) for slot in slots]))
+        return [F(1)] * len(slots)
+
+    monkeypatch.setattr("boxcert.fedotov.mixed_volumes", recording)
+    # the recorded passes return ones, so every check up to the minor's sign passes
+    report = verify_certificate(cert)
+    assert (report.ok, report.reason) == (False, "subset does not violate the minor sign condition")
+    assert len(passes) == ceil(20100 / 16) == 1257
+    states = 2**12
+    for n, mults, slots in passes:
+        assert (n, mults) == (12, (1,) * 12)
+        assert len(slots) * states <= 2**16
+    assert sum(len(slots) for *_, slots in passes) == 20100
+    # the first pass, evaluated for real, matches the one-tuple DP
+    n, mults, slots = passes[0]
+    for slot, value in list(zip(slots, mixed_volumes(n, mults, slots)))[:2]:
+        assert value == mixed_volume(BodyTuple(12, zip(slot, mults)))
+
+
+def test_verify_rejects_a_later_row_tamper_at_12_4(cert_12_4):
+    # row 100 is the second row of width class 32 (its first is row 96), so
+    # it is compared with row 96 rather than with the recomputed row; the
+    # C tail is four cubes
+    _, classes = width_classes(cert_12_4.bodies)
+    assert classes[100] == classes[96] == 32 and classes.index(32) == 96
+    for value in ("9999", "2/3"):
+        report = verify_certificate(_tampered(cert_12_4, [(100, 150, value), (150, 100, value)]))
+        assert (report.ok, report.reason) == (
+            False, f"matrix entry (100,150) is {value}, recomputed 9904/33"
+        )
 
 
 def test_certificate_with_noncanonical_strings_verifies():

@@ -15,8 +15,8 @@ import pytest
 from boxcert.cli import main
 from boxcert.fedotov import certificate_to_json, construct_counterexample
 
-# input files written once per module; "{cert_6_3}", "{tuple}" and
-# "{shephard}" in an argv name them
+# input files written once per module; "{cert_6_3}", "{cert_12_4}", "{tuple}"
+# and "{shephard}" in an argv name them
 MIXVOL_TUPLE = {
     "n": 6,
     "bodies": [
@@ -72,6 +72,15 @@ GOLDEN = {
     ),
     "verify-6-3-json": (
         ["fedotov", "verify", "{cert_6_3}", "--format", "json"],
+        "de18f6aebf5d3f369d2fe4470e0c4400e58b293fa242d60ce15c74d3bebb3aa6",
+    ),
+    # the auxiliary-body path: four cube C bodies, so the DP's states carry a tail
+    "verify-12-4": (
+        ["fedotov", "verify", "{cert_12_4}"],
+        "6d9c79cdb5b436150bbf8a375d3941427fb925d1a069bcf9b0bbe0d51bffbdd7",
+    ),
+    "verify-12-4-json": (
+        ["fedotov", "verify", "{cert_12_4}", "--format", "json"],
         "de18f6aebf5d3f369d2fe4470e0c4400e58b293fa242d60ce15c74d3bebb3aa6",
     ),
     "mixvol-multiplicities": (
@@ -160,14 +169,20 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def inputs(tmp_path_factory, cert_12_4):
     root = tmp_path_factory.mktemp("golden")
     cert, tuple_file = root / "cert-6-3.json", root / "tuple.json"
-    shephard = root / "shephard-12-13.json"
+    cert12, shephard = root / "cert-12-4.json", root / "shephard-12-13.json"
     cert.write_text(certificate_to_json(construct_counterexample(6, 3)), encoding="utf-8")
+    cert12.write_text(certificate_to_json(cert_12_4), encoding="utf-8")
     tuple_file.write_text(json.dumps(MIXVOL_TUPLE), encoding="utf-8")
     shephard.write_text(json.dumps(shephard_instance()), encoding="utf-8")
-    return {"cert_6_3": str(cert), "tuple": str(tuple_file), "shephard": str(shephard)}
+    return {
+        "cert_6_3": str(cert),
+        "cert_12_4": str(cert12),
+        "tuple": str(tuple_file),
+        "shephard": str(shephard),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -14,6 +14,7 @@ from boxcert.mixvol import (
     iterated_af_check,
     mixed_volume,
     mixed_volume_via_derivatives,
+    mixed_volumes,
     polarization_identity_check,
 )
 from boxcert.selftest import naive_permanent_mixed_volume, random_box
@@ -106,6 +107,76 @@ def test_at_dimension_twelve_against_derivative_path():
         t = BodyTuple(12, entries)
         assert mixed_volume(t) == mixed_volume_via_derivatives(t)
     assert mixed_volume(BodyTuple(12, ((k, 12),))) == volume(k)
+
+
+def _pattern(rng, n):
+    """Random positive multiplicities summing to n."""
+    mults = []
+    while sum(mults) < n:
+        mults.append(rng.randrange(1, n - sum(mults) + 1))
+    return tuple(mults)
+
+
+def _slots(rng, n, mults, count):
+    """``count`` slots for ``mults``: the first lists one box in every entry,
+    the rest draw from a small pool with zero widths and a point mixed in.
+    """
+    shared = random_box(rng, n)
+    pool = [shared, point(n), _with_zero_width(rng, random_box(rng, n))]
+    pool += [random_box(rng, n) for _ in range(3)]
+    return [[shared] * len(mults)] + [[rng.choice(pool) for _ in mults] for _ in range(count - 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mixed_volumes_equal_both_oracles_on_every_slot(n):
+    # several slots with different bodies in one call; the permutation
+    # oracle sums n! terms, so it checks n <= 6 (n = 8 alone takes a second)
+    rng = random.Random(f"mixed_volumes:{n}")
+    for _ in range(2):
+        mults = _pattern(rng, n)
+        slots = _slots(rng, n, mults, 4)
+        values = mixed_volumes(n, mults, slots)
+        assert len(values) == len(slots)
+        for slot, value in zip(slots, values):
+            t = BodyTuple(n, zip(slot, mults))
+            assert value == mixed_volume_via_derivatives(t) == mixed_volume(t)
+            if n <= 6:
+                assert value == naive_permanent_mixed_volume(t)
+        assert values[0] == volume(slots[0][0])
+
+
+def test_mixed_volumes_at_dimension_twelve():
+    rng = random.Random("mixed_volumes:12")
+    slots = _slots(rng, 12, (6, 6), 3)
+    for slot, value in zip(slots, mixed_volumes(12, (6, 6), slots)):
+        assert value == mixed_volume_via_derivatives(BodyTuple(12, zip(slot, (6, 6))))
+    # a k = 1 pattern: 4,096 states, every body distinct, against the builder's table
+    bodies = [random_box(rng, 12) for _ in range(3)]
+    c_bodies = [random_box(rng, 12) for _ in range(10)]
+    table = build_matrix(bodies, 1, c_bodies).table
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    slots = [[bodies[a], bodies[b], *c_bodies] for a, b in pairs]
+    assert mixed_volumes(12, (1,) * 12, slots) == [table[a, b] for a, b in pairs]
+
+
+def test_mixed_volumes_diagonal_is_the_doubled_multiplicity():
+    # the verifier evaluates V(A[2k], C...) as V(A[k], A[k], C...)
+    rng = random.Random(5)
+    for n, k in ((2, 1), (4, 2), (5, 1), (7, 3), (8, 4), (12, 6)):
+        a, tail = random_box(rng, n), [random_box(rng, n) for _ in range(n - 2 * k)]
+        doubled = mixed_volumes(n, (k, k, *[1] * len(tail)), [[a, a, *tail]])
+        assert doubled == mixed_volumes(n, (2 * k, *[1] * len(tail)), [[a, *tail]])
+        assert doubled == [mixed_volume(BodyTuple(n, ((a, 2 * k),) + tuple((c, 1) for c in tail)))]
+
+
+def test_mixed_volumes_edge_cases():
+    cube = unit_cube(3)
+    assert mixed_volumes(3, (2, 1), []) == []
+    assert mixed_volumes(3, (2, 1), [[cube, point(3)], [cube, cube]]) == [0, 1]
+    for mults, slot in (((2, 2), [cube] * 2), ((3, 0), [cube] * 2), ((1, 1), [cube] * 2),
+                        ((2, 1), [cube, unit_cube(2)])):
+        with pytest.raises(ValueError, match="summing to 3, and bodies in dimension 3"):
+            mixed_volumes(3, mults, [slot])
 
 
 def test_permutation_symmetry_exhaustive():
