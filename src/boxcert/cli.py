@@ -112,7 +112,7 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, an over-long integer
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -5,25 +5,27 @@ the directional-derivative operator sum_j w_j d/ds_j on polynomials in the
 slab variables s_1..s_n, and the volume polynomial of the box family is the
 single multilinear monomial V = s_1 * ... * s_n.
 
-Because d^2/ds_j^2 annihilates every multilinear polynomial, an operator's
-action on V (and on all derivative images of V) is determined by its
-squarefree part. Operators here are stored *only* through that squarefree
-part: a degree-k operator is a map from k-element subsets of {0..n-1} to
-rational coefficients. Two operators that differ by a member of the
-annihilator ideal {a : aV = 0} are therefore identified, which is exactly
-the quotient in which the Hodge-Riemann statements live.
+Because d^2/ds_j^2 annihilates every multilinear polynomial, operators act
+on V through the algebra Q[d]/(d_j^2), the quotient in which the
+Hodge-Riemann statements live. One type, ``SlabOperator``, is that algebra:
+a degree-k element is a map from k-element subsets of {0..n-1} to rational
+coefficients, and as d^S V = s_{[n] - S} it stands for its image
+aV = sum_S c_S s_{[n] - S}, so aV = 0 exactly when a = 0. V is the unit,
+the degree-0 operator 1 (``volume_polynomial``); an image's constant term
+is the coefficient on d^{[n]} (``.constant``); and the constructor sums
+(subset, value) pairs, so a sum of operators is one constructor call.
 
-``apply_op`` is the one differentiation, and ``contract`` the one place a
-list of bodies is applied to a polynomial: each distinct body's derivative
-power ``op_from_box(box, count)`` once. ``derivative_along``, a box's
-degree-1 derivative, has no caller; it is the single-step reference of the
-tests and the benchmark's tracer. ``_form_and_image`` is the one evaluator
-of the form (``hr_form``); ``hr_check``, the one Hodge-Riemann verdict on a
-primitive operator, reads its image a D_C V too: a is primitive when D_L of
-it is 0. ``hr_signature`` is the one signature verdict (the pairing's exact
-inertia against the h-vector, and its definiteness on the primitive span,
-``primitive_gram``); ``hodge primitive`` and the selftest read the last
-two. As d^S V = s_{[n] - S}, an operator kills V exactly when it is zero.
+``apply_op`` is the one product (d^S d^T = d^{S u T} for disjoint S and T,
+else 0), and ``contract`` the one place a list of bodies is applied: each
+distinct body's derivative power ``op_from_box(box, count)`` once.
+``derivative_along``, a box's degree-1 derivative, has no caller; it is the
+single-step reference of the tests and the benchmark's tracer.
+``_form_and_image`` is the one evaluator of the form (``hr_form``);
+``hr_check``, the one Hodge-Riemann verdict on a primitive operator, reads
+its image a D_C V too: a is primitive when D_L of it is 0. ``hr_signature``
+is the one signature verdict (the pairing's exact inertia against the
+h-vector, and its definiteness on the primitive span, ``primitive_gram``);
+``hodge primitive`` and the selftest read the last two.
 ``polarization_signs`` is the one sign rule of the polarization formula,
 which ``express_as_powers``, the mixvol check and the fedotov lift read.
 """
@@ -53,9 +55,10 @@ from .exactlin import (
 Subset = tuple[int, ...]
 
 
-def _normalize_terms(n: int, terms: Mapping) -> dict[Subset, Rat]:
+def _normalize_terms(n: int, terms: Mapping | Iterable) -> dict[Subset, Rat]:
+    """A mapping or (subset, value) pairs, summed per subset, zero sums dropped."""
     out: dict[Subset, Rat] = {}
-    for key, value in terms.items():
+    for key, value in terms.items() if isinstance(terms, Mapping) else terms:
         subset = tuple(sorted(key))
         if len(set(subset)) != len(subset):
             raise ValueError(f"repeated index in monomial {key}")
@@ -67,18 +70,24 @@ def _normalize_terms(n: int, terms: Mapping) -> dict[Subset, Rat]:
     return {s: c for s, c in sorted(out.items()) if c != 0}
 
 
-class SlabPolynomial:
-    """Multilinear polynomial in the slab variables s_0..s_{n-1}.
+class SlabOperator:
+    """Squarefree degree-k operator sum_{|S|=k} c_S d^S.
 
-    Monomials are subsets of {0..n-1}; the empty subset is the constant
-    term. Instances are immutable by convention.
+    It stands for its image sum_S c_S s_{[n] - S} on V. ``terms`` is a
+    mapping or (subset, value) pairs; values on one subset are summed.
+    Instances are immutable by convention.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "k", "terms")
 
-    def __init__(self, n: int, terms: Mapping = ()):
+    def __init__(self, n: int, k: int, terms: Mapping | Iterable = ()):
+        if k < 0:
+            raise ValueError("operator degree must be nonnegative")
         self.n = n
-        self.terms = _normalize_terms(n, dict(terms))
+        self.k = k
+        self.terms = _normalize_terms(n, terms)
+        if any(len(s) != k for s in self.terms):
+            raise ValueError("all monomials must have the operator's degree")
 
     def coeff(self, subset: Iterable[int]) -> Rat:
         return self.terms.get(tuple(sorted(subset)), Fraction(0))
@@ -89,48 +98,8 @@ class SlabPolynomial:
 
     @property
     def constant(self) -> Rat:
-        """The degree-0 coefficient."""
-        return self.terms.get((), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SlabPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"SlabPolynomial({self.n}, 0)"
-        body = " + ".join(
-            f"{rat_to_str(c)}*s{list(s)}" for s, c in self.terms.items()
-        )
-        return f"SlabPolynomial({self.n}, {body})"
-
-
-class SlabOperator:
-    """Squarefree degree-k operator sum_{|S|=k} c_S d^S."""
-
-    __slots__ = ("n", "k", "terms")
-
-    def __init__(self, n: int, k: int, terms: Mapping = ()):
-        if k < 0:
-            raise ValueError("operator degree must be nonnegative")
-        self.n = n
-        self.k = k
-        self.terms = _normalize_terms(n, dict(terms))
-        if any(len(s) != k for s in self.terms):
-            raise ValueError("all monomials must have the operator's degree")
-
-    def coeff(self, subset: Iterable[int]) -> Rat:
-        return self.terms.get(tuple(sorted(subset)), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        """The image's constant term: the coefficient on d^{[n]}."""
+        return self.terms.get(tuple(range(self.n)), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -149,11 +118,11 @@ class SlabOperator:
         return f"SlabOperator({self.n}, k={self.k}, {body})"
 
 
-def volume_polynomial(n: int) -> SlabPolynomial:
-    """V = s_0 * s_1 * ... * s_{n-1}."""
+def volume_polynomial(n: int) -> SlabOperator:
+    """V = s_0 * s_1 * ... * s_{n-1}: the unit, the degree-0 operator 1."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return SlabPolynomial(n, {tuple(range(n)): Fraction(1)})
+    return SlabOperator(n, 0, {(): Fraction(1)})
 
 
 def op_from_box(box: BoxBody, k: int) -> SlabOperator:
@@ -183,47 +152,34 @@ def op_from_box(box: BoxBody, k: int) -> SlabOperator:
     return SlabOperator(box.n, k, terms)
 
 
-def op_add(a: SlabOperator, b: SlabOperator) -> SlabOperator:
-    if (a.n, a.k) != (b.n, b.k):
-        raise ValueError("operator shape mismatch")
-    terms = dict(a.terms)
-    for s, c in b.terms.items():
-        terms[s] = terms.get(s, Fraction(0)) + c
-    return SlabOperator(a.n, a.k, terms)
+def apply_op(a: SlabOperator, p: SlabOperator) -> SlabOperator:
+    """The product a * p: d^S d^T = d^{S u T} for disjoint S and T, else 0.
 
-
-def op_scale(a: SlabOperator, c) -> SlabOperator:
-    c = rat(c)
-    return SlabOperator(a.n, a.k, {s: c * v for s, v in a.terms.items()})
-
-
-def apply_op(a: SlabOperator, p: SlabPolynomial) -> SlabPolynomial:
-    """Formal differentiation: d^S sends s_T to s_{T - S} when S <= T, else 0."""
+    On images it is formal differentiation: d^S sends s_T to s_{T - S}
+    when S <= T, else 0.
+    """
     if a.n != p.n:
         raise ValueError("dimension mismatch")
-    terms: dict[Subset, Rat] = {}
-    for t, ct in p.terms.items():
-        t_set = set(t)
-        for s, cs in a.terms.items():
-            if t_set.issuperset(s):
-                rest = tuple(j for j in t if j not in s)
-                terms[rest] = terms.get(rest, Fraction(0)) + cs * ct
-    return SlabPolynomial(p.n, terms)
+    pairs = []
+    for s, cs in a.terms.items():
+        s_set = set(s)
+        pairs += [(s + t, cs * ct) for t, ct in p.terms.items() if s_set.isdisjoint(t)]
+    return SlabOperator(a.n, a.k + p.k, pairs)
 
 
-def derivative_along(box: BoxBody, p: SlabPolynomial) -> SlabPolynomial:
+def derivative_along(box: BoxBody, p: SlabOperator) -> SlabOperator:
     """Apply the box's degree-1 derivative operator sum_j w_j d_j."""
     return apply_op(op_from_box(box, 1), p)
 
 
-def contract(p: SlabPolynomial, bodies: Sequence[BoxBody]) -> SlabPolynomial:
+def contract(p: SlabOperator, bodies: Sequence[BoxBody]) -> SlabOperator:
     """D_{K_1} ... D_{K_r} p, for the bodies K_i listed with repeats.
 
     Equal bodies are grouped: a body listed c times is applied as the one
     operator ``op_from_box(body, c)``, the squarefree part of D_K^c, which
     acts on multilinear p as c single derivatives do. The operators commute,
     so the order of the list does not matter. A body repeated more than n
-    times warns (``op_from_box``) and gives the zero polynomial.
+    times warns (``op_from_box``) and gives zero.
     """
     for box, count in Counter(bodies).items():
         p = apply_op(op_from_box(box, count), p)
@@ -232,9 +188,9 @@ def contract(p: SlabPolynomial, bodies: Sequence[BoxBody]) -> SlabPolynomial:
 
 def _form_and_image(
     a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]
-) -> tuple[Rat, SlabPolynomial]:
+) -> tuple[Rat, SlabOperator]:
     """(a*b*prod_i D_{C_i} V, a*prod_i D_{C_i} V): only a is applied, and b
-    pairs with the coefficients of the degree-k image."""
+    pairs with the coefficients of the degree-k image, on the complements."""
     if a.n != b.n:
         raise ValueError("operator dimension mismatch")
     if a.k != b.k:
@@ -243,7 +199,8 @@ def _form_and_image(
     if 2 * a.k + len(c_bodies) != n:
         raise ValueError("body count does not complete the degree to n")
     p = apply_op(a, contract(volume_polynomial(n), c_bodies))
-    return sum((c * p.coeff(s) for s, c in b.terms.items()), Fraction(0)), p
+    full = set(range(n))
+    return sum((c * p.coeff(full.difference(s)) for s, c in b.terms.items()), Fraction(0)), p
 
 
 def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Rat:
@@ -256,21 +213,22 @@ def hr_form(a: SlabOperator, b: SlabOperator, c_bodies: Sequence[BoxBody]) -> Ra
 
 
 def _union_coefficients(
-    q: SlabPolynomial, row_subsets: Iterable[Subset], col_subsets: Sequence[Subset]
+    q: SlabOperator, row_subsets: Iterable[Subset], col_subsets: Sequence[Subset]
 ) -> RatMatrix:
-    """Entry (U, S) is q's coefficient on the union of U and S if they are
-    disjoint, else 0.
+    """Entry (U, S) is the coefficient of q's image on the union of U and S
+    if they are disjoint, else 0.
 
     Applying d^U d^S to q leaves that coefficient as the constant term when
-    |U| + |S| = deg q, and a squarefree product with a repeated index is zero.
+    |U| + |S| + q.k = n, and a squarefree product with a repeated index is
+    zero. The image's coefficients are q's terms keyed by their complements,
+    none of which repeats an index, so an overlapping pair reads 0.
     """
-    rows = []
-    for u in row_subsets:
-        u_set = set(u)
-        rows.append(
-            [q.coeff(u + s) if u_set.isdisjoint(s) else Fraction(0) for s in col_subsets]
-        )
-    return RatMatrix(rows)
+    full = set(range(q.n))
+    image = {tuple(sorted(full.difference(t))): c for t, c in q.terms.items()}
+    zero = Fraction(0)
+    return RatMatrix(
+        [[image.get(tuple(sorted(u + s)), zero) for s in col_subsets] for u in row_subsets]
+    )
 
 
 def primitive_space_basis(
@@ -326,10 +284,9 @@ class PowerCombination(NamedTuple):
     terms: tuple[tuple[Rat, BoxBody], ...]
 
     def to_operator(self, n: int) -> SlabOperator:
-        total = SlabOperator(n, self.k)
-        for x, box in self.terms:
-            total = op_add(total, op_scale(op_from_box(box, self.k), x))
-        return total
+        k = self.k
+        pairs = ((s, x * c) for x, box in self.terms for s, c in op_from_box(box, k).terms.items())
+        return SlabOperator(n, k, pairs)
 
 
 def _lagrange_weights_at_zero(points: Sequence[int]) -> list[Rat]:

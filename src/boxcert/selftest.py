@@ -17,8 +17,6 @@ from math import comb, factorial
 from .boxes import minkowski_combine, unit_cube, volume
 from .diffop import (
     SlabOperator,
-    op_add,
-    op_scale,
     express_as_powers,
     hr_check,
     hr_form,
@@ -255,9 +253,8 @@ def suite_diffop(rng: random.Random, hr_count: int) -> tuple[bool, str]:
                 return False, f"pairing signature wrong at n={n}, k={k}"
             for trial in range(hr_count):
                 coeffs = [rng.choice([Fraction(a) for a in range(-3, 4)]) for _ in basis]
-                alpha = SlabOperator(n, k)
-                for c, b in zip(coeffs, basis):
-                    alpha = op_add(alpha, op_scale(b, c))
+                pairs = ((s, c * v) for c, b in zip(coeffs, basis) for s, v in b.terms.items())
+                alpha = SlabOperator(n, k, pairs)
                 _, sign_ok, equality_ok, _ = hr_check(alpha, cube, c_bodies)
                 if not sign_ok:
                     return False, f"sign violated at n={n}, k={k}, trial {trial}"

@@ -613,23 +613,29 @@ def test_value_error_inside_computation_is_not_a_usage_error(monkeypatch):
 
 
 DEEPLY_NESTED = "[" * 100_000
+# files json.load rejects with a ValueError that is not a JSONDecodeError
+NOT_UTF8 = b'\xff\xfe{"n": 2}'
+OVERLONG_INT = b'{"n": ' + b"1" * 5_000 + b', "bodies": []}'
+UNPARSABLE = (DEEPLY_NESTED.encode(), NOT_UTF8, OVERLONG_INT)
 
 
 def test_verify_deeply_nested_json_is_malformed(tmp_path, capsys):
     path = tmp_path / "cert.json"
-    path.write_text(DEEPLY_NESTED)
-    assert main(["fedotov", "verify", str(path)]) == 1
-    assert capsys.readouterr().out.startswith("certificate INVALID: malformed: ")
-    assert main(["fedotov", "verify", str(path), "--format", "json"]) == 1
-    result = json.loads(capsys.readouterr().out)
-    assert result["ok"] is False and result["reason"].startswith("malformed certificate: ")
+    for contents in UNPARSABLE:
+        path.write_bytes(contents)
+        assert main(["fedotov", "verify", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("certificate INVALID: malformed: ")
+        assert main(["fedotov", "verify", str(path), "--format", "json"]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert result["ok"] is False and result["reason"].startswith("malformed certificate: ")
 
 
 @pytest.mark.parametrize("command", [["mixvol"], ["shephard", "--file"]])
 def test_deeply_nested_input_file_is_usage_error(tmp_path, capsys, command):
     path = tmp_path / "input.json"
-    path.write_text(DEEPLY_NESTED)
-    _usage_error(capsys, [*command, str(path)], "is not valid JSON")
+    for contents in UNPARSABLE:
+        path.write_bytes(contents)
+        _usage_error(capsys, [*command, str(path)], "is not valid JSON")
 
 
 def test_unwritable_output_checked_before_work(tmp_path, capsys, monkeypatch):

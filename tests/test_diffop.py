@@ -9,7 +9,6 @@ import pytest
 from boxcert.boxes import BoxBody, unit_cube
 from boxcert.diffop import (
     SlabOperator,
-    SlabPolynomial,
     apply_op,
     contract,
     derivative_along,
@@ -18,9 +17,7 @@ from boxcert.diffop import (
     hr_check,
     hr_form,
     hr_signature,
-    op_add,
     op_from_box,
-    op_scale,
     op_to_json,
     pairing_matrix,
     polarization_signs,
@@ -28,11 +25,16 @@ from boxcert.diffop import (
     primitive_space_basis,
     volume_polynomial,
 )
-from boxcert.exactlin import Inertia, RatMatrix, inertia
+from boxcert.exactlin import Inertia, RatMatrix, inertia, nullspace_basis
 from boxcert.mixvol import BodyTuple, mixed_volume
 from boxcert.selftest import random_box
 
 CROSS_ALPHA = SlabOperator(4, 2, {(0, 1): 1, (2, 3): 1, (0, 2): -1, (1, 3): -1})
+
+
+def _combination(n, k, scaled):
+    """sum_i x_i a_i over (x_i, a_i) pairs, through the summing constructor."""
+    return SlabOperator(n, k, ((s, x * c) for x, a in scaled for s, c in a.terms.items()))
 
 
 def test_op_from_box_degree_one():
@@ -174,7 +176,7 @@ def test_hr_form_symmetric_bilinear():
         b = SlabOperator(n, k, {s: F(rng.randrange(-3, 4)) for s in subsets})
         c = SlabOperator(n, k, {s: F(rng.randrange(-3, 4)) for s in subsets})
         assert hr_form(a, b, []) == hr_form(b, a, [])
-        lhs = hr_form(op_add(a, op_scale(c, F(3, 2))), b, [])
+        lhs = hr_form(_combination(n, k, [(1, a), (F(3, 2), c)]), b, [])
         assert lhs == hr_form(a, b, []) + F(3, 2) * hr_form(c, b, [])
     # only the first operator is applied, so check both slots under a
     # nontrivial contraction by non-cube bodies
@@ -187,7 +189,7 @@ def test_hr_form_symmetric_bilinear():
                 for _ in range(3)
             )
             assert hr_form(a, b, c_bodies) == hr_form(b, a, c_bodies)
-            mixed = op_add(a, op_scale(c, F(3, 2)))
+            mixed = _combination(n, k, [(1, a), (F(3, 2), c)])
             expected = hr_form(a, b, c_bodies) + F(3, 2) * hr_form(c, b, c_bodies)
             assert hr_form(mixed, b, c_bodies) == hr_form(b, mixed, c_bodies) == expected
 
@@ -255,12 +257,11 @@ def test_hr_check_primitivity_matches_the_q_oracle():
             basis = primitive_space_basis(k, reference, c_bodies)
             ops = [SlabOperator(n, k)]
             for _ in range(4):
-                combo = SlabOperator(n, k)
-                for b in basis:
-                    combo = op_add(combo, op_scale(b, F(rng.randrange(-3, 4), rng.randrange(1, 3))))
+                scaled = [(F(rng.randrange(-3, 4), rng.randrange(1, 3)), b) for b in basis]
+                combo = _combination(n, k, scaled)
                 chosen = rng.sample(subsets, rng.randrange(1, len(subsets) + 1))
                 noise = SlabOperator(n, k, {s: rng.randrange(-2, 3) for s in chosen})
-                ops += [combo, op_add(combo, noise), noise]
+                ops += [combo, _combination(n, k, [(1, combo), (1, noise)]), noise]
             for a in ops:
                 expected = _primitive_by_q(a, reference, c_bodies)
                 assert _hr_check_accepts(a, reference, c_bodies) == expected
@@ -284,9 +285,7 @@ def test_hr_positivity_on_random_primitive_elements():
             basis = primitive_space_basis(k, cube, c_bodies)
             v_poly = volume_polynomial(n)
             for _ in range(15):
-                alpha = SlabOperator(n, k)
-                for b in basis:
-                    alpha = op_add(alpha, op_scale(b, F(rng.randrange(-3, 4))))
+                alpha = _combination(n, k, [(F(rng.randrange(-3, 4)), b) for b in basis])
                 value = hr_form(alpha, alpha, c_bodies)
                 assert (-1) ** k * value >= 0
                 assert (value == 0) == apply_op(alpha, v_poly).is_zero
@@ -413,11 +412,103 @@ def test_operator_json_roundtrip():
     assert SlabOperator(data["n"], data["k"], terms) == CROSS_ALPHA
 
 
-def test_slab_polynomial_rejects_repeated_indices():
+def test_slab_operator_rejects_repeated_indices():
     with pytest.raises(ValueError):
-        SlabPolynomial(3, {(0, 0): F(1)})
+        SlabOperator(3, 2, {(0, 0): F(1)})
 
 
 def test_operator_monomial_degree_enforced():
     with pytest.raises(ValueError):
         SlabOperator(3, 2, {(0,): F(1)})
+
+
+def test_constructor_sums_pairs_and_checks_subsets():
+    pairs = [((1, 0), 2), ((2, 3), 1), ((0, 1), F(1, 2)), ((3, 2), -1), ((0, 2), F(-1, 3))]
+    op = SlabOperator(4, 2, pairs)
+    assert op.terms == {(0, 1): F(5, 2), (0, 2): F(-1, 3)}  # (2, 3) summed to 0
+    assert list(op.terms) == sorted(op.terms)
+    assert SlabOperator(4, 2, iter(pairs)) == op == SlabOperator(4, 2, dict(op.terms))
+    for bad in ([((0, 1), 1), ((2,), 1)], [((1, 1), 1)], [((0, 4), 1)]):
+        with pytest.raises(ValueError):
+            SlabOperator(4, 2, bad)
+
+
+# The polynomial representation the operators replaced, kept as the oracle:
+# a polynomial is a {T: c} dict over the monomials s_T, and d^S sends s_T to
+# s_{T - S} when S <= T, else 0.
+
+
+def _reference_apply(a, poly):
+    out = {}
+    for t, ct in poly.items():
+        for s, cs in a.terms.items():
+            if set(s) <= set(t):
+                rest = tuple(j for j in t if j not in s)
+                out[rest] = out.get(rest, 0) + cs * ct
+    return {t: c for t, c in out.items() if c != 0}
+
+
+def _reference_contract(poly, bodies):
+    for box in bodies:
+        poly = _reference_apply(op_from_box(box, 1), poly)
+    return poly
+
+
+def _image(p):
+    """The polynomial p stands for: its terms keyed by their complements."""
+    full = set(range(p.n))
+    return {tuple(sorted(full.difference(s))): c for s, c in p.terms.items()}
+
+
+def test_operators_match_the_polynomial_reference():
+    rng = random.Random(25)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        v = {tuple(range(n)): F(1)}
+        assert _image(volume_polynomial(n)) == v
+        k = rng.randrange(n + 1)
+        subsets = list(combinations(range(n), k))
+        chosen = rng.sample(subsets, rng.randrange(len(subsets) + 1))
+        a = SlabOperator(n, k, {s: F(rng.randrange(-3, 4), rng.randrange(1, 4)) for s in chosen})
+        pool = [random_box(rng, n) for _ in range(2)]
+        bodies = [rng.choice(pool) for _ in range(rng.choice((n - k, rng.randrange(n - k + 1))))]
+        p, reference = contract(volume_polynomial(n), bodies), _reference_contract(v, bodies)
+        assert _image(p) == reference
+        assert p.constant == reference.get((), 0)
+        ap, a_reference = apply_op(a, p), _reference_apply(a, reference)
+        assert _image(ap) == a_reference and ap.constant == a_reference.get((), 0)
+        box = random_box(rng, n)
+        assert _image(derivative_along(box, p)) == _reference_apply(op_from_box(box, 1), reference)
+        rest = [box] * (n - len(bodies))
+        full = contract(p, rest)
+        assert full.k == n and full.constant == _reference_contract(reference, rest).get((), 0)
+
+
+def _reference_union(reference, rows, cols):
+    return [
+        [reference.get(tuple(sorted(u + s)), 0) if set(u).isdisjoint(s) else 0 for s in cols]
+        for u in rows
+    ]
+
+
+def test_union_coefficients_match_the_polynomial_reference(monkeypatch):
+    captured = []
+
+    def capturing(matrix):
+        captured.append(matrix)
+        return nullspace_basis(matrix)
+
+    monkeypatch.setattr("boxcert.diffop.nullspace_basis", capturing)
+    rng = random.Random(26)
+    for n in range(2, 9):
+        v = {tuple(range(n)): F(1)}
+        for k in range(1, n // 2 + 1):
+            subsets = list(combinations(range(n), k))
+            q = _reference_contract(v, [unit_cube(n)] * (n - 2 * k))
+            assert pairing_matrix(n, k).to_lists() == _reference_union(q, subsets, subsets)
+            reference = random_box(rng, n)
+            c_bodies = [random_box(rng, n) for _ in range(n - 2 * k)]
+            primitive_space_basis(k, reference, c_bodies)
+            q = _reference_contract(v, [reference, *c_bodies])
+            rows = list(combinations(range(n), k - 1))
+            assert captured.pop().to_lists() == _reference_union(q, rows, subsets)
