@@ -12,7 +12,10 @@ polarization, hunts for direct violations at random, and independently
 re-verifies emitted certificates with the coordinate DP of the mixvol module.
 The builder checks the witness claims in one place for the base and the
 lift, and the lift reads its signs from ``polarization_signs``. The Shephard
-check (k = 1) reads hypmat's one minor-sign scan, ``minor_sign_violations``.
+check (k = 1) reads hypmat's one minor-sign scan, ``minor_sign_violations``,
+which settles a matrix with one positive eigenvalue and a nonnegative
+diagonal from its exact inertia, enumerating no minor; so does the random
+search, through ``sylvester_violation``.
 
 A matrix is built as its table over width classes in one integer pass:
 every entry shares the auxiliary bodies C, so their permanent on every
@@ -59,7 +62,6 @@ from .hypmat import (
     Violation,
     class_matrix,
     find_violation,
-    is_hyperbolic,
     minor_sign_violations,
     sylvester_violation,
     violates_sign,
@@ -255,12 +257,15 @@ class ShephardReport(NamedTuple):
 def shephard_verify(fm: FedotovMatrix) -> ShephardReport:
     """Assert (-1)^|I| det M_I <= 0 for every principal subset (k = 1 only).
 
-    All 2^m - 1 subsets are checked: ``minor_sign_violations`` scans those
-    up to the rank, and every larger one has minor 0, which satisfies the
-    sign condition. Zero entries are accepted, so the scan is not routed
-    through ``sylvester_violation``'s positivity check. A violation in the
-    report indicates an implementation bug: for box inputs the k = 1 matrix
-    is always hyperbolic.
+    All 2^m - 1 subsets are checked by ``minor_sign_violations``. When the
+    matrix has n_pos <= 1 and a nonnegative diagonal, which is the case for
+    box inputs, its exact inertia settles every subset and none is
+    enumerated. Otherwise the subsets up to the rank are scanned, and every
+    larger one has minor 0, which satisfies the sign condition. Zero
+    entries (a body with a zero width) are accepted, so the check does not
+    call ``sylvester_violation``, which requires positive entries. A
+    violation in the report indicates an implementation bug: for box inputs
+    the k = 1 matrix is always hyperbolic.
     """
     if fm.k != 1:
         raise ValueError("shephard_verify applies to k = 1 matrices")
@@ -506,11 +511,10 @@ def random_search(
     """Randomized hunt for a direct minor-sign violation.
 
     Trial t checks random_instance(n, k, m, seed, t), so the outcome is a
-    pure function of (seed, trials). Each trial first asks ``is_hyperbolic``
-    of the class table (grid bodies give a positive one): a positive matrix
-    with one positive eigenvalue has no violating minor (by Cauchy
-    interlacing, each M_I has one too), so its 2^m - 1 subsets are not
-    enumerated; any other trial is scanned by ``sylvester_violation``.
+    pure function of (seed, trials). Each trial is scanned by
+    ``sylvester_violation`` (grid bodies give a positive matrix), which
+    takes the exact inertia first: a matrix with one positive eigenvalue
+    has no violating minor, so its 2^m - 1 subsets are not enumerated.
     Returns the first violation as a certificate with empty x, y (marked
     "direct"), or None.
     """
@@ -523,8 +527,6 @@ def random_search(
     for trial in range(trials):
         bodies, c_bodies = random_instance(n, k, m, seed, trial)
         fm = build_matrix(bodies, k, c_bodies)
-        if is_hyperbolic(fm.table):
-            continue
         violation = sylvester_violation(fm.matrix)
         if violation is not None:
             trace = {

@@ -24,9 +24,11 @@ are the integers det N_I of M scaled once to N = D M, which have the signs
 of det M_I, and that format stays in this module: ``minor_sign_violations``
 is the one minor-sign scan, which both ``sylvester_violation`` and the
 Shephard check read, and only a violation it yields becomes the Fraction
-det N_I / D^|I|. ``violates_sign`` is the one minor-sign rule, which the
-verifier's det M_I check also reads, and ``is_hyperbolic`` the one
-hyperbolicity test, which ``random_search`` asks before it enumerates.
+det N_I / D^|I|. The scan takes the exact inertia once, and a matrix with
+n_pos <= 1 and no negative diagonal entry has no violation, so none of its
+minors is enumerated. ``violates_sign`` is the one minor-sign rule, which
+the verifier's det M_I check also reads, and ``is_hyperbolic`` the plain
+hyperbolicity test of a positive matrix.
 """
 
 from __future__ import annotations
@@ -170,6 +172,14 @@ def _bordered_minors(
     return value, [row[p + i :] for i, row in enumerate(a[p:])]
 
 
+def _require_enumerable(m: RatMatrix) -> None:
+    if m.rows > SUBSET_ENUMERATION_CAP:
+        raise ValueError(
+            f"dimension {m.rows} exceeds the exhaustive minor enumeration cap "
+            f"{SUBSET_ENUMERATION_CAP}"
+        )
+
+
 def _principal_minors(m: RatMatrix) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
     """(D, minors): M scaled once to the integers N = D M, and (I, det N_I)
     for every nonempty principal subset I with |I| <= rank M.
@@ -181,12 +191,7 @@ def _principal_minors(m: RatMatrix) -> tuple[int, Iterator[tuple[tuple[int, ...]
     comes last exactly when M is nonsingular. Subsets come smallest-first,
     lexicographically within a size.
     """
-    size = m.rows
-    if size > SUBSET_ENUMERATION_CAP:
-        raise ValueError(
-            f"dimension {size} exceeds the exhaustive minor enumeration cap "
-            f"{SUBSET_ENUMERATION_CAP}"
-        )
+    _require_enumerable(m)
     signature = inertia(m)  # rejects a matrix that is not symmetric
     rows, den = integer_matrix(m)
     return den, _integer_minors(rows, signature.n_pos + signature.n_neg)
@@ -257,11 +262,23 @@ def minor_sign_violations(m: RatMatrix) -> Iterator[Violation]:
     """Each principal subset with (-1)^|I| det M_I > 0, in the order of
     ``_principal_minors``, as a Violation whose value is det N_I / D^|I|.
 
-    The sign is read off the integer det N_I; only a violation becomes a
-    Fraction.
+    The enumeration cap is checked first; then the exact ``inertia`` is
+    taken once. When n_pos <= 1 and no diagonal entry is negative, there
+    is no violation, and nothing is enumerated. By Cauchy interlacing each
+    principal M_I has n_pos(M_I) <= 1. If n_pos(M_I) = 1, det M_I is the
+    positive eigenvalue times |I| - 1 eigenvalues that are <= 0. If
+    n_pos(M_I) = 0, M_I is negative semidefinite with trace >= 0, so
+    M_I = 0 and det M_I = 0. Either way (-1)^|I| det M_I <= 0. Otherwise
+    the subsets up to the rank (that inertia's n_pos + n_neg) are
+    enumerated; every larger one has minor 0. The sign is read off the
+    integer det N_I; only a violation becomes a Fraction.
     """
-    den, minors = _principal_minors(m)
-    for subset, value in minors:
+    _require_enumerable(m)
+    signature = inertia(m)
+    if signature.n_pos <= 1 and all(row[i] >= 0 for i, row in enumerate(m.entries)):
+        return
+    rows, den = integer_matrix(m)
+    for subset, value in _integer_minors(rows, signature.n_pos + signature.n_neg):
         if violates_sign(subset, value):
             yield Violation(subset, Fraction(value, den ** len(subset)))
 
@@ -272,7 +289,8 @@ def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     Subsets are scanned smallest-first, lexicographically within a size, so
     the returned witness is deterministic; those above the rank have minor 0
     and are not scanned. None is returned exactly when the matrix is
-    hyperbolic.
+    hyperbolic; a hyperbolic matrix is answered from the scan's inertia,
+    without enumerating a subset.
     """
     _require_symmetric_positive(m)
     return next(minor_sign_violations(m), None)

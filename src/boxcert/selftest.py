@@ -194,7 +194,11 @@ def suite_polarization(rng: random.Random, count: int) -> tuple[bool, str]:
 
 
 def suite_hypmat(rng: random.Random, count: int) -> tuple[bool, str]:
-    """Inertia condition == minor condition; witnesses are exact."""
+    """Inertia condition == minor condition; witnesses are exact.
+
+    ``sylvester_violation`` answers a hyperbolic matrix from its inertia,
+    so every subset of such a matrix is re-checked by ``det`` directly.
+    """
     hyperbolic_seen = 0
     for trial in range(count):
         dim = rng.randrange(1, 7)
@@ -209,6 +213,10 @@ def suite_hypmat(rng: random.Random, count: int) -> tuple[bool, str]:
                 return False, f"violation does not re-verify at trial {trial}"
         else:
             hyperbolic_seen += 1
+            for card in range(1, dim + 1):
+                for subset in combinations(range(dim), card):
+                    if violates_sign(subset, det(principal_submatrix(m, subset))):
+                        return False, f"minor condition failed at trial {trial}"
             for _ in range(20):
                 x = random_nonneg_vector(rng, dim)
                 y = random_nonneg_vector(rng, dim)

@@ -30,7 +30,13 @@ from boxcert.fedotov import (
     shephard_verify,
     verify_certificate,
 )
-from boxcert.hypmat import equality_witness, is_hyperbolic, sylvester_violation
+from boxcert.hypmat import (
+    _principal_minors,
+    equality_witness,
+    is_hyperbolic,
+    sylvester_violation,
+    violates_sign,
+)
 from boxcert.mixvol import (
     BodyTuple,
     af_check,
@@ -176,6 +182,9 @@ def test_criterion_08_hyperbolicity_equivalence():
         hyperbolic = is_hyperbolic(m)
         violation = sylvester_violation(m)
         ok &= hyperbolic == (violation is None)
+        # the full enumeration, which does not go through the inertia rule
+        _, minors = _principal_minors(m)
+        ok &= hyperbolic == (not any(violates_sign(s, v) for s, v in minors))
         if violation is not None:
             value = det(principal_submatrix(m, violation.subset))
             ok &= value == violation.det_value

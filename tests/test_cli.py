@@ -1,14 +1,17 @@
 import ast
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import boxcert
+from boxcert import hypmat
 from boxcert.boxes import unit_cube
 from boxcert.cli import main
 from boxcert.diffop import (
@@ -111,6 +114,37 @@ def test_shephard_file_instance(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True
     assert data["instances"][0]["det"] == "0"  # homothets
+
+
+def test_hyperbolic_shephard_inputs_enumerate_no_minor(tmp_path, capsys, monkeypatch):
+    # the benchmark's shephard instance (n = 12, m = 13, seed 1) and a
+    # seeded m = 20 run are settled by the scan's inertia; the construct
+    # pipeline's core, with n_pos >= 2, is still enumerated
+    calls = Counter()
+    enumerate_minors = hypmat._integer_minors
+
+    def counting(*args):
+        calls["enumerations"] += 1
+        return enumerate_minors(*args)
+
+    monkeypatch.setattr("boxcert.hypmat._integer_minors", counting)
+    rng = random.Random("perfbench:shephard:1")
+
+    def box():
+        return [str(Fraction(rng.randint(1, 16), rng.randint(1, 4))) for _ in range(12)]
+
+    bodies = [{"widths": box()} for _ in range(13)]
+    c_bodies = [{"widths": box()} for _ in range(10)]
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"n": 12, "bodies": bodies, "c_bodies": c_bodies}))
+    assert main(["shephard", "--file", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is True and data["instances"][0]["subsets_checked"] == 2**13 - 1
+    assert main(["shephard", "--n", "8", "--m", "20", "--seed", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert calls["enumerations"] == 0
+    assert main(["fedotov", "construct", "--n", "4", "--k", "2"]) == 0
+    assert calls["enumerations"] >= 1
 
 
 def test_hodge_primitive_reports_dimension(capsys):

@@ -415,10 +415,10 @@ def test_random_search_k2_finds_and_verifies():
 def test_random_search_asks_inertia_before_enumerating(monkeypatch):
     # every k = 1 trial has one positive eigenvalue, so no subset is
     # enumerated; a k = 2 trial with two still is, and finds the same subset
-    def forbidden(m):
+    def forbidden(*args):
         raise AssertionError("enumerated the minors of a hyperbolic matrix")
 
-    monkeypatch.setattr("boxcert.fedotov.sylvester_violation", forbidden)
+    monkeypatch.setattr("boxcert.hypmat._integer_minors", forbidden)
     cert, stats = random_search(12, 1, 20, 2, 1)
     assert cert is None and stats == SearchStats(2, False, None)
     monkeypatch.undo()

@@ -14,6 +14,7 @@ from boxcert.fedotov import (
     build_matrix,
     construct_counterexample,
     pipeline_base_k2,
+    random_instance,
     reduce_to_general_k,
     shephard_verify,
     verify_certificate,
@@ -240,6 +241,20 @@ def test_equivalence_inertia_vs_minors():
         dim = rng.randrange(1, 7)
         m = random_symmetric_positive(rng, dim)
         assert is_hyperbolic(m) == (sylvester_violation(m) is None)
+        # the full enumeration, which does not go through the inertia rule
+        den, minors = _principal_minors(m)
+        assert is_hyperbolic(m) == (not any(violates_sign(s, v) for s, v in minors))
+
+
+def _full_scan(m):
+    """The scan without the inertia rule: every violation among the minors
+    of ``_principal_minors``, in its order, as det N_I / D^|I|."""
+    den, minors = _principal_minors(m)
+    return [
+        Violation(subset, F(value, den ** len(subset)))
+        for subset, value in minors
+        if violates_sign(subset, value)
+    ]
 
 
 def test_minor_sign_violations_are_every_violation_in_minor_order():
@@ -251,17 +266,72 @@ def test_minor_sign_violations_are_every_violation_in_minor_order():
         m = random_symmetric_positive(rng, rng.randrange(2, 7))
         if is_hyperbolic(m):
             continue
-        den, minors = _principal_minors(m)
-        expected = [
-            Violation(subset, F(value, den ** len(subset)))
-            for subset, value in minors
-            if violates_sign(subset, value)
-        ]
         found = list(minor_sign_violations(m))
-        assert found == expected and found
+        assert found == _full_scan(m) and found
         assert found[0] == sylvester_violation(m)
         scanned += 1
     assert scanned >= 20, scanned
+    # the same oracle on inputs on both sides of the inertia rule
+    matrices = []
+    # seeded k = 1 instances up to n = 12, the last of the workload's shape
+    for n, count, seed in ((2, 3, 0), (3, 5, 1), (5, 7, 2), (8, 9, 3), (10, 6, 4), (12, 13, 1)):
+        bodies, c_bodies = random_instance(n, 1, count, seed, 0)
+        matrices.append(build_matrix(bodies, 1, c_bodies).matrix)
+    # bodies with zero widths, which give zero diagonal entries
+    k = BoxBody(3, (1, 2, 3))
+    flat = [BoxBody(3, (0, 0, 1)), BoxBody(3, (0, 2, 1)), BoxBody(3, (0, 0, 0))]
+    matrices.append(build_matrix([k, *flat], 1, [k]).matrix)
+    matrices.append(build_matrix([flat[0], BoxBody(3, (2, 0, 0))], 1, [unit_cube(3)]).matrix)
+    # planted non-hyperbolic tables
+    a, b, c = (BoxBody(3, (1, 1, w)) for w in (1, 2, 3))
+    planted = build_matrix([a, b, a, c, b], 1, [k])._replace(
+        table=RatMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
+    )
+    matrices += [planted.matrix, planted_block_matrix()]
+    # symmetric matrices with a negative diagonal entry: [[-1]] has n_pos = 0
+    # and still violates at {0}
+    matrices += [
+        RatMatrix([[-1]]),
+        RatMatrix([[-1, 2], [2, -1]]),
+        RatMatrix([[0, 1], [1, -1]]),
+        RatMatrix([[1, 1, 1], [1, 1, 1], [1, 1, -F(1, 3)]]),
+    ]
+    pool = [F(p, q) for p in range(-6, 7) for q in (1, 2, 3)]
+    for _ in range(60):
+        size = rng.randrange(1, 7)
+        w = [[rng.choice(pool) for _ in range(rng.randrange(1, size + 1))] for _ in range(size)]
+        signs = [rng.choice((1, -1, -1)) for _ in range(len(w[0]))]
+        matrices.append(RatMatrix([
+            [sum(d * x * y for d, x, y in zip(signs, u, v)) for v in w] for u in w
+        ]))
+    matrices += [random_symmetric_positive(rng, rng.randrange(2, 7)) for _ in range(30)]
+    kinds = Counter()
+    for m in matrices:
+        found = list(minor_sign_violations(m))
+        assert found == _full_scan(m)
+        diagonal = [m.entries[i][i] for i in range(m.rows)]
+        one_positive = inertia(m).n_pos <= 1
+        rule = one_positive and min(diagonal) >= 0
+        assert rule <= (not found)
+        kinds["rule"] += rule
+        kinds["rule, zero diagonal"] += rule and 0 in diagonal
+        kinds["scanned, violations"] += bool(found)
+        kinds["n_pos <= 1, negative diagonal"] += one_positive and min(diagonal) < 0
+    assert list(minor_sign_violations(RatMatrix([[-1]]))) == [Violation((0,), F(-1))]
+    assert min(kinds.values()) >= 2, kinds
+
+
+def test_minor_sign_violations_enumerate_nothing_under_the_rule(monkeypatch):
+    # a matrix with n_pos <= 1 and a nonnegative diagonal is answered from
+    # its inertia alone; one with a negative diagonal entry is still scanned
+    def forbidden(*args):
+        raise AssertionError("enumerated a minor under the inertia rule")
+
+    monkeypatch.setattr("boxcert.hypmat._integer_minors", forbidden)
+    for m in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0, 1], [1, 0]], [[0]], [[F(5, 7)]]):
+        assert list(minor_sign_violations(RatMatrix(m))) == []
+    with pytest.raises(AssertionError, match="inertia rule"):
+        list(minor_sign_violations(RatMatrix([[-1]])))
 
 
 def test_af_form_check_basics():
