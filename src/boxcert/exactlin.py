@@ -9,9 +9,8 @@ Determinants use one fraction-free Bareiss loop over the integers
 (``bareiss``): a matrix is scaled once by the lcm D of all its entry
 denominators, so det M = det(D M) / D^n, and every division in the loop is
 exact. Intermediate values stay at minor size instead of letting naive
-fraction arithmetic blow up. Stopped after its first p columns, the same
-loop leaves the bordered minors of the leading p x p block in the trailing
-block; ``hypmat`` builds its principal-minor states from them.
+fraction arithmetic blow up. ``hypmat`` runs the same loop on each integer
+principal submatrix whose minor it reads.
 
 Inertia (the signature of a symmetric matrix) runs the same fraction-free
 step on the same integer scaling, with symmetric pivots: a nonzero diagonal
@@ -209,21 +208,18 @@ def _eliminate(a: list[list[int]], k: int, prev: int) -> int:
     return pivot
 
 
-def bareiss(a: list[list[int]], steps: int) -> int:
-    """Fraction-free elimination of the first ``steps`` columns of ``a``, in place.
+def bareiss(a: list[list[int]]) -> int:
+    """det a of a square integer matrix, by fraction-free elimination in place.
 
-    Returns the determinant of the leading steps x steps block, 0 when it is
-    singular (``a`` is then left part-eliminated). Pivots are taken from
-    the first ``steps`` rows only, and a swap negates one of the two rows, so
-    every minor containing all of those rows keeps its value. When the
-    block is nonsingular, a[i][l] for i, l >= steps ends as the bordered
-    minor det a[0..steps-1 + i, 0..steps-1 + l] (Sylvester's identity); with
-    steps = len(a) the return value is det a. Every division is exact.
+    A zero pivot is swapped with the first row below it that is nonzero in
+    its column, and the swap negates one of the two rows, so the
+    determinant keeps its value; a column with no such row gives 0 (``a`` is
+    then left part-eliminated). Every division is exact.
     """
     prev = 1
-    for k in range(steps):
+    for k in range(len(a)):
         if a[k][k] == 0:
-            for r in range(k + 1, steps):
+            for r in range(k + 1, len(a)):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], [-x for x in a[k]]
                     break
@@ -238,7 +234,7 @@ def det(m: RatMatrix) -> Rat:
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
     rows, den = integer_matrix(m)
-    return Fraction(bareiss(rows, m.rows), den**m.rows)
+    return Fraction(bareiss(rows), den**m.rows)
 
 
 def inertia(m: RatMatrix) -> Inertia:

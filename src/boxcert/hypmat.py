@@ -21,7 +21,8 @@ integers, and x and y once each, and divides only where it returns a form
 value; ``af_form_check`` and ``equality_witness`` read their pairings
 from ``witness_forms`` too. The principal minors (``_principal_minors``)
 are the integers det N_I of M scaled once to N = D M, which have the signs
-of det M_I, and that format stays in this module: ``minor_sign_violations``
+of det M_I, each from one fresh ``exactlin.bareiss`` elimination of the
+integer block N_I. That format stays in this module: ``minor_sign_violations``
 is the one minor-sign scan, which both ``sylvester_violation`` and the
 Shephard check read, and only a violation it yields becomes the Fraction
 det N_I / D^|I|. The scan takes the exact inertia once, and a matrix with
@@ -52,9 +53,10 @@ from .exactlin import (
 )
 
 # 2^22 subsets is the largest enumeration we are willing to run blind;
-# larger matrices must be shrunk to a core first. A subset up to the rank
-# costs at most m^2 integer updates of its parent's state; the subsets above
-# the rank have minor 0 and are never generated.
+# larger matrices must be shrunk to a core first. The cap bounds a lazy
+# first-violation search, and the listing of a matrix that the inertia rule
+# does not settle, at one elimination of at most rank x rank per subset; the
+# subsets above the rank have minor 0 and are never generated.
 SUBSET_ENUMERATION_CAP = 22
 
 
@@ -155,23 +157,6 @@ def is_hyperbolic(m: RatMatrix) -> bool:
     return inertia(m).n_pos == 1
 
 
-def _bordered_minors(
-    rows: Sequence[Sequence[int]], subset: Sequence[int], border: Sequence[int]
-) -> tuple[int, Optional[list[list[int]]]]:
-    """(det N_S, B) by one fresh Bareiss elimination of rows S + border.
-
-    B[i][l - i] = det N[S + border[i], S + border[l]] for l >= i, the upper
-    triangle of a symmetric block; B is None when det N_S = 0.
-    """
-    idx = [*subset, *border]
-    a = [[rows[r][c] for c in idx] for r in idx]
-    p = len(subset)
-    value = bareiss(a, p)
-    if value == 0:
-        return 0, None
-    return value, [row[p + i :] for i, row in enumerate(a[p:])]
-
-
 def _require_enumerable(m: RatMatrix) -> None:
     if m.rows > SUBSET_ENUMERATION_CAP:
         raise ValueError(
@@ -189,7 +174,8 @@ def _principal_minors(m: RatMatrix) -> tuple[int, Iterator[tuple[tuple[int, ...]
     it by D^|I|. The rank is n_pos + n_neg of the exact ``inertia``. Every
     larger subset has minor 0 and is not yielded, so the full index set
     comes last exactly when M is nonsingular. Subsets come smallest-first,
-    lexicographically within a size.
+    lexicographically within a size, and each minor is one fresh
+    ``bareiss`` of N_I, the elimination ``exactlin.det`` runs.
     """
     _require_enumerable(m)
     signature = inertia(m)  # rejects a matrix that is not symmetric
@@ -199,63 +185,15 @@ def _principal_minors(m: RatMatrix) -> tuple[int, Iterator[tuple[tuple[int, ...]
 
 def _integer_minors(rows: list[list[int]], top: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(I, det N_I) for the nonempty subsets I with |I| <= top, in the order
-    of ``_principal_minors``; N is symmetric and of rank top.
+    of ``_principal_minors``, each from one fresh ``bareiss`` of the integer
+    principal submatrix N_I; N is symmetric and of rank top.
 
-    A nonsingular subset I keeps a state, the bordered minors
-    b_il = det N[I + i, I + l] for max I < i <= l (the matrix b is
-    symmetric). Its children I + j come next to each other in the next size
-    level, in order: det N_{I+j} = b_jj, and by Sylvester's identity the
-    child's own state is b'_il = (b_jj b_il - b_ji b_jl) / det N_I, an exact
-    integer division. Children of a singular subset get a fresh Bareiss
-    elimination instead. Only one level of states is kept, and the level
-    before the last keeps only the diagonals b'_ii = (b_jj b_ii - b_ji^2) /
-    det N_I, all the last level reads.
+    Nothing is kept from one subset to the next, so the memory is one
+    top x top block, and a lazy caller pays only for the subsets it reads.
     """
-    size = len(rows)
-    # (det N_I, its state or None) for each I of the level, in the order of
-    # combinations(range(size), |I|): each subset is built once, as a child
-    # of its prefix, and the parents come in that order. Row t of a state
-    # holds b_tl for l >= t, from b_tt on. The last level reads only
-    # det N_{I+j} = b_jj, so the states kept for it are the diagonals alone.
-    triangle = [row[i:] for i, row in enumerate(rows)]
-    level: list = [(1, [b_t[0] for b_t in triangle] if top == 1 else triangle)]
     for card in range(1, top + 1):
-        last = card == top
-        diagonal = card == top - 1
-        following = []
-        for pos, subset in enumerate(combinations(range(size), card - 1)):
-            value, state = level[pos]
-            level[pos] = None  # each state is read once; let it go
-            first = subset[-1] + 1 if subset else 0
-            for j in range(first, size):
-                child = (*subset, j)
-                t = j - first
-                if state is None:
-                    child_value, child_state = _bordered_minors(
-                        rows, child, () if last else range(j + 1, size)
-                    )
-                    if diagonal and child_state is not None:
-                        child_state = [b_i[0] for b_i in child_state]
-                elif last:
-                    child_value, child_state = state[t], None
-                else:
-                    row_t = state[t]
-                    child_value, child_state = row_t[0], None
-                    if child_value and diagonal:
-                        child_state = [
-                            (child_value * b_i[0] - b_ti * b_ti) // value
-                            for b_i, b_ti in zip(state[t + 1 :], row_t[1:])
-                        ]
-                    elif child_value:
-                        child_state = [
-                            [(child_value * b_il - row_t[i] * b_tl) // value
-                             for b_il, b_tl in zip(b_i, row_t[i:])]
-                            for i, b_i in enumerate(state[t + 1 :], 1)
-                        ]
-                yield child, child_value
-                if not last:
-                    following.append((child_value, child_state))
-        level = following
+        for subset in combinations(range(len(rows)), card):
+            yield subset, bareiss([[rows[r][c] for c in subset] for r in subset])
 
 
 def minor_sign_violations(m: RatMatrix) -> Iterator[Violation]:

@@ -107,6 +107,25 @@ GOLDEN = {
          "--trials", "3", "--seed", "1", "--format", "json"],
         "d054ef2f085ff1ba611c51ab77b75fdd5c74bc4151d73333d147e873f55ef93f",
     ),
+    # the first violation has 4 indices, [0, 3, 5, 13], past the triple cores;
+    # the JSON reports the verdict only, so it reads as search-12-2-m12-json
+    # does, and the text form pins the subset and its det
+    "search-8-2-m22-json": (
+        ["fedotov", "search", "--n", "8", "--k", "2", "--m", "22",
+         "--trials", "20", "--seed", "3", "--format", "json"],
+        "d054ef2f085ff1ba611c51ab77b75fdd5c74bc4151d73333d147e873f55ef93f",
+    ),
+    "search-8-2-m22": (
+        ["fedotov", "search", "--n", "8", "--k", "2", "--m", "22",
+         "--trials", "20", "--seed", "3"],
+        "91881de36ed61c1550d57db115dfbc19490d02b0b9519ce09450c9093a635dfe",
+    ),
+    # the first violation has 6 indices, [0, 1, 4, 8, 9, 13]
+    "search-12-2-m22": (
+        ["fedotov", "search", "--n", "12", "--k", "2", "--m", "22",
+         "--trials", "10", "--seed", "3"],
+        "b7cf619ddc594223fa3ee4a0db20f51e4a17282dde3b86d3d2d5945e12b5f429",
+    ),
     "shephard-5-5": (
         ["shephard", "--n", "5", "--m", "5", "--seed", "1", "--trials", "3"],
         "3af477df9ec9b050f39af1bc5ccffffd32cbbf343ea65c22391af726a7a4ccd1",
