@@ -12,14 +12,15 @@ exact. Intermediate values stay at minor size instead of letting naive
 fraction arithmetic blow up. ``hypmat`` runs the same loop on each integer
 principal submatrix whose minor it reads.
 
-Inertia (the signature of a symmetric matrix) runs the same fraction-free
-step on the same integer scaling, with symmetric pivots: a nonzero diagonal
-entry swapped to the front in its row and its column. The k-th pivot is the
-leading minor D_k, so the k-th LDL^T pivot D_k / D_{k-1} has the sign of
-D_k D_{k-1}, and Sylvester's law of inertia reads the signature off those
-signs. A trailing block with a zero diagonal but a nonzero entry a_ij first
-gets row and column j added to row and column i, a unimodular congruence
-that keeps every division exact and makes a_ii = 2 a_ij.
+The one symmetric elimination (``symmetric_pivots``) runs the same step on
+the same scaling, with symmetric pivots: a nonzero diagonal entry is swapped
+to the front in its row and its column, and where the trailing diagonal is
+zero but some a_ij is not, row and column j are first added to row and
+column i (then a_ii = 2 a_ij). Both are congruences by matrices of
+determinant +-1, so the k-th pivot D_k is a leading minor of a matrix
+congruent to N, and det N = D_n at full rank. The k-th LDL^T pivot
+D_k / D_{k-1} has the sign of D_k D_{k-1}, and Sylvester's law of inertia
+reads the signature off those signs (``pivot_inertia``).
 """
 
 from __future__ import annotations
@@ -237,17 +238,13 @@ def det(m: RatMatrix) -> Rat:
     return Fraction(bareiss(rows), den**m.rows)
 
 
-def inertia(m: RatMatrix) -> Inertia:
-    """Exact (n_pos, n_neg, n_zero) of a symmetric matrix.
-
-    ``_eliminate`` with symmetric pivots (see the module docstring), until
-    the trailing block is zero; its size is n_zero.
+def symmetric_pivots(a: list[list[int]]) -> list[int]:
+    """The pivots D_1, ..., D_r of a symmetric integer matrix, r its rank:
+    ``_eliminate`` in place with symmetric pivots (see the module docstring)
+    until the trailing block is zero.
     """
-    if not m.is_symmetric:
-        raise ValueError("inertia requires a symmetric matrix")
-    a, _ = integer_matrix(m)
     size = len(a)
-    n_pos = n_neg = 0
+    pivots = []
     prev = 1
     for k in range(size):
         p = next((p for p in range(k, size) if a[p][p]), None)
@@ -264,13 +261,22 @@ def inertia(m: RatMatrix) -> Inertia:
         a[k], a[p] = a[p], a[k]
         for row in a[k:]:
             row[k], row[p] = row[p], row[k]
-        pivot = _eliminate(a, k, prev)
-        if (pivot > 0) == (prev > 0):
-            n_pos += 1
-        else:
-            n_neg += 1
-        prev = pivot
-    return Inertia(n_pos, n_neg, size - n_pos - n_neg)
+        prev = _eliminate(a, k, prev)
+        pivots.append(prev)
+    return pivots
+
+
+def pivot_inertia(pivots: Sequence[int], size: int) -> Inertia:
+    """The inertia of a size x size matrix with these ``symmetric_pivots``."""
+    n_pos = sum((p > 0) == (q > 0) for p, q in zip((1, *pivots), pivots))
+    return Inertia(n_pos, len(pivots) - n_pos, size - len(pivots))
+
+
+def inertia(m: RatMatrix) -> Inertia:
+    """Exact (n_pos, n_neg, n_zero) of a symmetric matrix, by ``pivot_inertia``."""
+    if not m.is_symmetric:
+        raise ValueError("inertia requires a symmetric matrix")
+    return pivot_inertia(symmetric_pivots(integer_matrix(m)[0]), m.rows)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:

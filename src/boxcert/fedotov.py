@@ -12,10 +12,10 @@ polarization, hunts for direct violations at random, and independently
 re-verifies emitted certificates with the coordinate DP of the mixvol module.
 The builder checks the witness claims in one place for the base and the
 lift, and the lift reads its signs from ``polarization_signs``. The Shephard
-check (k = 1) reads hypmat's one minor-sign scan, ``minor_sign_violations``,
-which settles a matrix with one positive eigenvalue and a nonnegative
-diagonal from its exact inertia, enumerating no minor; so does the random
-search, through ``sylvester_violation``.
+check (k = 1) reads det M and the violations off hypmat's one minor-sign
+scan, ``minor_sign_violations``, whose one elimination settles a matrix with
+one positive eigenvalue and a nonnegative diagonal, enumerating no minor;
+so does the random search, through ``sylvester_violation``.
 
 A matrix is built as its table over width classes in one integer pass:
 every entry shares the auxiliary bodies C, so their permanent on every
@@ -257,21 +257,21 @@ class ShephardReport(NamedTuple):
 def shephard_verify(fm: FedotovMatrix) -> ShephardReport:
     """Assert (-1)^|I| det M_I <= 0 for every principal subset (k = 1 only).
 
-    All 2^m - 1 subsets are checked by ``minor_sign_violations``. When the
-    matrix has n_pos <= 1 and a nonnegative diagonal, which is the case for
-    box inputs, its exact inertia settles every subset and none is
-    enumerated. Otherwise the subsets up to the rank are scanned, and every
-    larger one has minor 0, which satisfies the sign condition. Zero
-    entries (a body with a zero width) are accepted, so the check does not
-    call ``sylvester_violation``, which requires positive entries. A
-    violation in the report indicates an implementation bug: for box inputs
-    the k = 1 matrix is always hyperbolic.
+    All 2^m - 1 subsets are checked by ``minor_sign_violations``, which
+    also gives det M. When the matrix has n_pos <= 1 and a nonnegative
+    diagonal, which is the case for box inputs, its exact inertia settles
+    every subset and none is enumerated. Otherwise the subsets up to the
+    rank are scanned, and every larger one has minor 0, which satisfies the
+    sign condition. Zero entries (a body with a zero width) are accepted,
+    so the check does not call ``sylvester_violation``, which requires
+    positive entries. A violation in the report indicates an implementation
+    bug: for box inputs the k = 1 matrix is always hyperbolic.
     """
     if fm.k != 1:
         raise ValueError("shephard_verify applies to k = 1 matrices")
-    matrix = fm.matrix
-    violations = tuple(minor_sign_violations(matrix))
-    return ShephardReport(not violations, 2**fm.m - 1, violations, det(matrix))
+    determinant, found = minor_sign_violations(fm.matrix)
+    violations = tuple(found)
+    return ShephardReport(not violations, 2**fm.m - 1, violations, determinant)
 
 
 class _CertificateFields(NamedTuple):

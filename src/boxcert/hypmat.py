@@ -19,15 +19,15 @@ Everything on the certification path is exact. The witness layer
 (``witness_forms``, ``shrink_with_witness``) scales the c x c table once to
 integers, and x and y once each, and divides only where it returns a form
 value; ``af_form_check`` and ``equality_witness`` read their pairings
-from ``witness_forms`` too. The principal minors (``_principal_minors``)
-are the integers det N_I of M scaled once to N = D M, which have the signs
-of det M_I, each from one fresh ``exactlin.bareiss`` elimination of the
-integer block N_I. That format stays in this module: ``minor_sign_violations``
-is the one minor-sign scan, which both ``sylvester_violation`` and the
-Shephard check read, and only a violation it yields becomes the Fraction
-det N_I / D^|I|. The scan takes the exact inertia once, and a matrix with
-n_pos <= 1 and no negative diagonal entry has no violation, so none of its
-minors is enumerated. ``violates_sign`` is the one minor-sign rule, which
+from ``witness_forms`` too. ``minor_sign_violations`` is the one
+minor-sign scan, which both ``sylvester_violation`` and the Shephard check
+read. It scales M once to N = D M and eliminates N once
+(``exactlin.symmetric_pivots``), whose pivots give the exact inertia and
+det M. A matrix with n_pos <= 1 and no negative diagonal entry has no
+violation, so none of its minors is enumerated. Otherwise each minor is the
+integer det N_I, with the sign of det M_I, from one fresh
+``exactlin.bareiss`` of the block N_I, and only a violation becomes the
+Fraction det N_I / D^|I|. ``violates_sign`` is the one minor-sign rule, which
 the verifier's det M_I check also reads, and ``is_hyperbolic`` the plain
 hyperbolicity test of a positive matrix.
 """
@@ -48,8 +48,10 @@ from .exactlin import (
     integer_matrix,
     integer_row,
     nullspace_basis,
+    pivot_inertia,
     principal_submatrix,
     rat_to_str,
+    symmetric_pivots,
 )
 
 # 2^22 subsets is the largest enumeration we are willing to run blind;
@@ -165,28 +167,11 @@ def _require_enumerable(m: RatMatrix) -> None:
         )
 
 
-def _principal_minors(m: RatMatrix) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
-    """(D, minors): M scaled once to the integers N = D M, and (I, det N_I)
-    for every nonempty principal subset I with |I| <= rank M.
-
-    det N_I = D^|I| det M_I is an integer with the sign of det M_I, so a
-    sign is read without a Fraction; a caller that reports a minor divides
-    it by D^|I|. The rank is n_pos + n_neg of the exact ``inertia``. Every
-    larger subset has minor 0 and is not yielded, so the full index set
-    comes last exactly when M is nonsingular. Subsets come smallest-first,
-    lexicographically within a size, and each minor is one fresh
-    ``bareiss`` of N_I, the elimination ``exactlin.det`` runs.
-    """
-    _require_enumerable(m)
-    signature = inertia(m)  # rejects a matrix that is not symmetric
-    rows, den = integer_matrix(m)
-    return den, _integer_minors(rows, signature.n_pos + signature.n_neg)
-
-
 def _integer_minors(rows: list[list[int]], top: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(I, det N_I) for the nonempty subsets I with |I| <= top, in the order
-    of ``_principal_minors``, each from one fresh ``bareiss`` of the integer
-    principal submatrix N_I; N is symmetric and of rank top.
+    """(I, det N_I) for the nonempty subsets I with |I| <= top, smallest
+    first and lexicographically within a size, each from one fresh
+    ``bareiss`` of the integer principal submatrix N_I; N is symmetric and
+    of rank top, so every larger subset has minor 0 and is not yielded.
 
     Nothing is kept from one subset to the next, so the memory is one
     top x top block, and a lazy caller pays only for the subsets it reads.
@@ -196,29 +181,37 @@ def _integer_minors(rows: list[list[int]], top: int) -> Iterator[tuple[tuple[int
             yield subset, bareiss([[rows[r][c] for c in subset] for r in subset])
 
 
-def minor_sign_violations(m: RatMatrix) -> Iterator[Violation]:
-    """Each principal subset with (-1)^|I| det M_I > 0, in the order of
-    ``_principal_minors``, as a Violation whose value is det N_I / D^|I|.
+def minor_sign_violations(m: RatMatrix) -> tuple[Rat, Iterator[Violation]]:
+    """(det M, violations): a lazy iterator over each principal subset with
+    (-1)^|I| det M_I > 0, in the order of ``_integer_minors``, as a
+    Violation whose value is det N_I / D^|I|, for N = D M in integers.
 
-    The enumeration cap is checked first; then the exact ``inertia`` is
-    taken once. When n_pos <= 1 and no diagonal entry is negative, there
-    is no violation, and nothing is enumerated. By Cauchy interlacing each
-    principal M_I has n_pos(M_I) <= 1. If n_pos(M_I) = 1, det M_I is the
-    positive eigenvalue times |I| - 1 eigenvalues that are <= 0. If
-    n_pos(M_I) = 0, M_I is negative semidefinite with trace >= 0, so
-    M_I = 0 and det M_I = 0. Either way (-1)^|I| det M_I <= 0. Otherwise
-    the subsets up to the rank (that inertia's n_pos + n_neg) are
-    enumerated; every larger one has minor 0. The sign is read off the
-    integer det N_I; only a violation becomes a Fraction.
+    The enumeration cap is checked first. Then N is eliminated once by
+    ``symmetric_pivots``: the pivots give the exact inertia, and det M is
+    the last one over D^m at full rank, and 0 otherwise. When n_pos <= 1
+    and no diagonal entry is negative, there is no violation, and nothing
+    is enumerated. By Cauchy interlacing each principal M_I has
+    n_pos(M_I) <= 1. If n_pos(M_I) = 1, det M_I is the positive eigenvalue
+    times |I| - 1 eigenvalues that are <= 0. If n_pos(M_I) = 0, M_I is
+    negative semidefinite with trace >= 0, so M_I = 0 and det M_I = 0.
+    Either way (-1)^|I| det M_I <= 0. Otherwise the subsets up to the rank
+    are enumerated, reading each sign off the integer det N_I.
     """
     _require_enumerable(m)
-    signature = inertia(m)
-    if signature.n_pos <= 1 and all(row[i] >= 0 for i, row in enumerate(m.entries)):
-        return
+    if not m.is_symmetric:
+        raise ValueError("matrix must be symmetric")
     rows, den = integer_matrix(m)
-    for subset, value in _integer_minors(rows, signature.n_pos + signature.n_neg):
-        if violates_sign(subset, value):
-            yield Violation(subset, Fraction(value, den ** len(subset)))
+    pivots = symmetric_pivots([row[:] for row in rows])
+    signature = pivot_inertia(pivots, m.rows)
+    last = pivots[-1] if pivots else 1  # D_0 = 1, the empty matrix's det
+    det_m = Fraction(0) if signature.n_zero else Fraction(last, den**m.rows)
+    if signature.n_pos <= 1 and all(row[i] >= 0 for i, row in enumerate(rows)):
+        return det_m, iter(())
+    return det_m, (
+        Violation(subset, Fraction(value, den ** len(subset)))
+        for subset, value in _integer_minors(rows, len(pivots))
+        if violates_sign(subset, value)
+    )
 
 
 def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
@@ -231,7 +224,7 @@ def sylvester_violation(m: RatMatrix) -> Optional[Violation]:
     without enumerating a subset.
     """
     _require_symmetric_positive(m)
-    return next(minor_sign_violations(m), None)
+    return next(minor_sign_violations(m)[1], None)
 
 
 def af_form_check(m: RatMatrix, x: Sequence[Rat], y: Sequence[Rat]) -> bool:

@@ -31,7 +31,6 @@ from boxcert.fedotov import (
     verify_certificate,
 )
 from boxcert.hypmat import (
-    _principal_minors,
     equality_witness,
     is_hyperbolic,
     sylvester_violation,
@@ -45,6 +44,7 @@ from boxcert.mixvol import (
     mixed_volume_via_derivatives,
 )
 from boxcert.selftest import random_box, random_symmetric_positive
+from test_hypmat import principal_minors
 
 CLI = [sys.executable, "-m", "boxcert.cli"]
 
@@ -183,7 +183,7 @@ def test_criterion_08_hyperbolicity_equivalence():
         violation = sylvester_violation(m)
         ok &= hyperbolic == (violation is None)
         # the full enumeration, which does not go through the inertia rule
-        _, minors = _principal_minors(m)
+        _, minors = principal_minors(m)
         ok &= hyperbolic == (not any(violates_sign(s, v) for s, v in minors))
         if violation is not None:
             value = det(principal_submatrix(m, violation.subset))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import boxcert
-from boxcert import hypmat
+from boxcert import exactlin, hypmat
 from boxcert.boxes import unit_cube
 from boxcert.cli import main
 from boxcert.diffop import (
@@ -24,6 +25,7 @@ from boxcert.diffop import (
 )
 from boxcert.exactlin import Inertia, RatMatrix
 from boxcert.fedotov import certificate_to_json, construct_counterexample_k2, random_search
+from test_golden import GOLDEN
 
 RUN = [sys.executable, "-m", "boxcert.cli"]
 
@@ -116,6 +118,20 @@ def test_shephard_file_instance(tmp_path, capsys):
     assert data["instances"][0]["det"] == "0"  # homothets
 
 
+def _benchmark_shephard_file(tmp_path):
+    """The benchmark's shephard instance: seed 1, n = 12, m = 13."""
+    rng = random.Random("perfbench:shephard:1")
+
+    def box():
+        return [str(Fraction(rng.randint(1, 16), rng.randint(1, 4))) for _ in range(12)]
+
+    bodies = [{"widths": box()} for _ in range(13)]
+    c_bodies = [{"widths": box()} for _ in range(10)]
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"n": 12, "bodies": bodies, "c_bodies": c_bodies}))
+    return path
+
+
 def test_hyperbolic_shephard_inputs_enumerate_no_minor(tmp_path, capsys, monkeypatch):
     # the benchmark's shephard instance (n = 12, m = 13, seed 1) and a
     # seeded m = 20 run are settled by the scan's inertia; the construct
@@ -128,15 +144,7 @@ def test_hyperbolic_shephard_inputs_enumerate_no_minor(tmp_path, capsys, monkeyp
         return enumerate_minors(*args)
 
     monkeypatch.setattr("boxcert.hypmat._integer_minors", counting)
-    rng = random.Random("perfbench:shephard:1")
-
-    def box():
-        return [str(Fraction(rng.randint(1, 16), rng.randint(1, 4))) for _ in range(12)]
-
-    bodies = [{"widths": box()} for _ in range(13)]
-    c_bodies = [{"widths": box()} for _ in range(10)]
-    path = tmp_path / "G.json"
-    path.write_text(json.dumps({"n": 12, "bodies": bodies, "c_bodies": c_bodies}))
+    path = _benchmark_shephard_file(tmp_path)
     assert main(["shephard", "--file", str(path), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True and data["instances"][0]["subsets_checked"] == 2**13 - 1
@@ -145,6 +153,33 @@ def test_hyperbolic_shephard_inputs_enumerate_no_minor(tmp_path, capsys, monkeyp
     assert calls["enumerations"] == 0
     assert main(["fedotov", "construct", "--n", "4", "--k", "2"]) == 0
     assert calls["enumerations"] >= 1
+
+
+def test_shephard_eliminates_each_matrix_once(tmp_path, capsys, monkeypatch):
+    # det M is read off the scan's own symmetric pivots: ``det`` is never
+    # called, and each instance's m x m matrix is eliminated exactly once
+    def forbidden(*args):
+        raise AssertionError("shephard_verify called det")
+
+    sizes = Counter()
+    eliminate = exactlin.symmetric_pivots
+
+    def counting(a):
+        sizes[len(a)] += 1
+        return eliminate(a)
+
+    monkeypatch.setattr("boxcert.fedotov.det", forbidden)
+    monkeypatch.setattr("boxcert.exactlin.symmetric_pivots", counting)
+    monkeypatch.setattr("boxcert.hypmat.symmetric_pivots", counting)
+    path = _benchmark_shephard_file(tmp_path)
+    assert main(["shephard", "--file", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert sizes == Counter({13: 1})
+    sizes.clear()
+    argv, digest = GOLDEN["shephard-5-5"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    assert sizes == Counter({5: 3})
 
 
 def test_hodge_primitive_reports_dimension(capsys):

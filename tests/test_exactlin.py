@@ -11,11 +11,13 @@ from boxcert.exactlin import (
     det,
     dot,
     inertia,
+    integer_matrix,
     nullspace_basis,
     principal_submatrix,
     rat_from_str,
     rat_to_str,
     rref,
+    symmetric_pivots,
 )
 from boxcert.selftest import random_rational_matrix, random_symmetric_positive
 
@@ -181,6 +183,17 @@ def zero_diagonal_matrices():
     return matrices
 
 
+def _assert_pivots_give_det(m):
+    """The symmetric pivots of N = D M have r = m exactly when det M != 0,
+    and then det M = D_m / D^m, against the cofactor expansion."""
+    rows, den = integer_matrix(m)
+    pivots = symmetric_pivots(rows)
+    expected = cofactor_det(m.to_lists())
+    assert (len(pivots) < m.rows) == (expected == 0)
+    if len(pivots) == m.rows:
+        assert F(pivots[-1], den**m.rows) == expected
+
+
 def test_inertia_against_char_poly_oracle():
     rng = random.Random(23)
     for _ in range(80):
@@ -191,8 +204,19 @@ def test_inertia_against_char_poly_oracle():
                 rows[i][j] = rows[j][i] = F(rng.randrange(-3, 4), rng.randrange(1, 3))
         m = RatMatrix(rows)
         assert inertia(m) == char_poly_inertia(m)
-    for m in zero_diagonal_matrices():
+        _assert_pivots_give_det(m)
+    fixed = [
+        # nonsingular with a zero diagonal: the first pivot comes from a
+        # row-and-column add
+        [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+        # a negative diagonal, nonsingular and with denominators
+        [[-2, 1, F(1, 2)], [1, -3, 1], [F(1, 2), 1, -F(5, 3)]],
+        # singular: the third row is the sum of the first two
+        [[2, -1, 1], [-1, 3, 2], [1, 2, 3]],
+    ]
+    for m in [RatMatrix(rows) for rows in fixed] + zero_diagonal_matrices():
         assert inertia(m) == char_poly_inertia(m)
+        _assert_pivots_give_det(m)
 
 
 def _random_nonsingular(rng, dim):

@@ -34,7 +34,6 @@ from boxcert.fedotov import (
 )
 from boxcert.hypmat import (
     Violation,
-    _principal_minors,
     is_hyperbolic,
     sylvester_violation,
     violates_sign,
@@ -42,6 +41,7 @@ from boxcert.hypmat import (
 )
 from boxcert.mixvol import BodyTuple, mixed_volume, mixed_volumes
 from boxcert.selftest import naive_permanent_mixed_volume, random_box
+from test_hypmat import principal_minors
 
 
 def _rank(m):
@@ -257,10 +257,11 @@ def test_shephard_verify_matches_brute_force():
 
 
 def _loop_shephard_verify(fm):
-    """Oracle: the Shephard check as one loop over ``_principal_minors``,
-    with det M the last minor when it is the full set, and 0 otherwise."""
+    """Oracle: the Shephard check as one loop over ``principal_minors``,
+    with det M the last Bareiss minor when it is the full set, and 0
+    otherwise, so det M is not read off the scan's symmetric pivots."""
     violations = []
-    den, minors = _principal_minors(fm.matrix)
+    den, minors = principal_minors(fm.matrix)
     subset, value = (), 1
     for subset, value in minors:
         if violates_sign(subset, value):

@@ -15,8 +15,8 @@ import pytest
 from boxcert.cli import main
 from boxcert.fedotov import certificate_to_json, construct_counterexample
 
-# input files written once per module; "{cert_6_3}", "{cert_12_4}", "{tuple}"
-# and "{shephard}" in an argv name them
+# input files written once per module; "{cert_6_3}", "{cert_12_4}", "{tuple}",
+# "{shephard}", "{shephard_5}" and "{shephard_5_point}" in an argv name them
 MIXVOL_TUPLE = {
     "n": 6,
     "bodies": [
@@ -36,6 +36,21 @@ def shephard_instance() -> dict:
 
     bodies = [body() for _ in range(13)]
     return {"n": 12, "bodies": bodies, "c_bodies": [body() for _ in range(10)]}
+
+
+def small_shephard_instance(point: bool) -> dict:
+    """A fixed n = 5 instance of four bodies, and with ``point`` a fifth,
+    the point body, second: a zero row, so M is singular."""
+    widths = [["1", "2", "3", "1", "2"], ["0", "1", "2", "3", "1"],
+              ["2", "1", "1", "3", "1"], ["1", "1", "1", "1", "1"]]
+    if point:
+        widths.insert(1, ["0"] * 5)
+    c_bodies = [["1", "2", "1", "1", "3"], ["2", "1", "1", "2", "1"], ["1", "1", "3", "1", "1"]]
+    return {
+        "n": 5,
+        "bodies": [{"widths": w} for w in widths],
+        "c_bodies": [{"widths": w} for w in c_bodies],
+    }
 
 
 GOLDEN = {
@@ -144,6 +159,17 @@ GOLDEN = {
         ["shephard", "--file", "{shephard}", "--format", "json"],
         "d0690380f0ed44bccd2c932370ed8f3bfa01c108ef049a918e6609873e769b53",
     ),
+    # a nonsingular M: det -9669/160000 is its last symmetric pivot over D^4
+    "shephard-file-5-4-json": (
+        ["shephard", "--file", "{shephard_5}", "--format", "json"],
+        "e9b2c2f19727f3dff40d4a17c670a528c6e5c509d0758ccb852eac7ee4bcf4e1",
+    ),
+    # the same bodies and a point body: M has a zero row, so its rank is
+    # below m and det M = 0
+    "shephard-file-5-5-point-json": (
+        ["shephard", "--file", "{shephard_5_point}", "--format", "json"],
+        "0ab28ea48d61e48fe93a201086a37e07e4edbae7f13783cc54fd44428a9782b9",
+    ),
     # 65,535 minors; the 26,332 above size n = 8 vanish, since the rank is at most n
     "shephard-8-16": (
         ["shephard", "--n", "8", "--m", "16", "--seed", "1"],
@@ -196,11 +222,15 @@ def inputs(tmp_path_factory, cert_12_4):
     cert12.write_text(certificate_to_json(cert_12_4), encoding="utf-8")
     tuple_file.write_text(json.dumps(MIXVOL_TUPLE), encoding="utf-8")
     shephard.write_text(json.dumps(shephard_instance()), encoding="utf-8")
+    small = {"shephard_5": root / "shephard-5-4.json", "shephard_5_point": root / "shephard-5-5.json"}
+    for path, point in zip(small.values(), (False, True)):
+        path.write_text(json.dumps(small_shephard_instance(point)), encoding="utf-8")
     return {
         "cert_6_3": str(cert),
         "cert_12_4": str(cert12),
         "tuple": str(tuple_file),
         "shephard": str(shephard),
+        **{name: str(path) for name, path in small.items()},
     }
 
 

@@ -8,7 +8,15 @@ from itertools import combinations
 import pytest
 
 from boxcert.boxes import BoxBody, unit_cube
-from boxcert.exactlin import RatMatrix, det, dot, inertia, principal_submatrix, rref
+from boxcert.exactlin import (
+    RatMatrix,
+    det,
+    dot,
+    inertia,
+    integer_matrix,
+    principal_submatrix,
+    rref,
+)
 from boxcert.fedotov import (
     VerificationReport,
     build_matrix,
@@ -22,7 +30,7 @@ from boxcert.fedotov import (
 from boxcert.hypmat import (
     SUBSET_ENUMERATION_CAP,
     Violation,
-    _principal_minors,
+    _integer_minors,
     af_form_check,
     class_matrix,
     equality_witness,
@@ -138,6 +146,15 @@ def _minor_test_matrices():
     return matrices
 
 
+def principal_minors(m):
+    """(D, minors): ``_integer_minors`` of M scaled once to N = D M, over
+    the subsets up to the rank n_pos + n_neg of the exact ``inertia``; the
+    enumeration the scan runs, without its inertia rule."""
+    signature = inertia(m)  # rejects a matrix that is not symmetric
+    rows, den = integer_matrix(m)
+    return den, _integer_minors(rows, signature.n_pos + signature.n_neg)
+
+
 def _subsets_up_to(size, top):
     """Nonempty subsets of range(size) with at most ``top`` elements, in order."""
     return [s for card in range(1, top + 1) for s in combinations(range(size), card)]
@@ -153,7 +170,7 @@ def _assert_zero_above(m, top):
 def test_principal_minors_order_and_values():
     for m in _minor_test_matrices():
         size, top = m.rows, len(rref(m)[1])
-        den, minors = _principal_minors(m)
+        den, minors = principal_minors(m)
         minors = list(minors)
         subsets = [subset for subset, _ in minors]
         assert subsets == _subsets_up_to(size, top)
@@ -183,7 +200,7 @@ def test_principal_minors_are_integer_multiples_of_the_rational_minors():
         m = RatMatrix([
             [sum(d * a * b for d, a, b in zip(signs, u, v)) for v in w] for u in w
         ])
-        den, minors = _principal_minors(m)
+        den, minors = principal_minors(m)
         assert den == math.lcm(*(x.denominator for row in m.entries for x in row))
         for subset, value in minors:
             assert type(value) is int
@@ -196,7 +213,9 @@ def test_principal_minors_are_integer_multiples_of_the_rational_minors():
 
 def test_principal_minors_require_symmetric():
     with pytest.raises(ValueError):
-        list(_principal_minors(RatMatrix([[1, 2], [3, 1]])))
+        list(principal_minors(RatMatrix([[1, 2], [3, 1]])))
+    with pytest.raises(ValueError):
+        minor_sign_violations(RatMatrix([[1, 2], [3, 1]]))
 
 
 def test_principal_minors_vanish_above_dimension():
@@ -205,7 +224,7 @@ def test_principal_minors_vanish_above_dimension():
     n, m = 3, 6
     bodies = [random_box(rng, n) for _ in range(m)]
     matrix = build_matrix(bodies, 1, [random_box(rng, n)]).matrix
-    den, minors = _principal_minors(matrix)
+    den, minors = principal_minors(matrix)
     minors = list(minors)
     assert [subset for subset, _ in minors] == _subsets_up_to(m, n)
     for subset, value in minors:
@@ -248,14 +267,14 @@ def test_equivalence_inertia_vs_minors():
         m = random_symmetric_positive(rng, dim)
         assert is_hyperbolic(m) == (sylvester_violation(m) is None)
         # the full enumeration, which does not go through the inertia rule
-        den, minors = _principal_minors(m)
+        den, minors = principal_minors(m)
         assert is_hyperbolic(m) == (not any(violates_sign(s, v) for s, v in minors))
 
 
 def _full_scan(m):
     """The scan without the inertia rule: every violation among the minors
-    of ``_principal_minors``, in its order, as det N_I / D^|I|."""
-    den, minors = _principal_minors(m)
+    of ``principal_minors``, in its order, as det N_I / D^|I|."""
+    den, minors = principal_minors(m)
     return [
         Violation(subset, F(value, den ** len(subset)))
         for subset, value in minors
@@ -264,7 +283,7 @@ def _full_scan(m):
 
 
 def test_minor_sign_violations_are_every_violation_in_minor_order():
-    # oracle: every violating minor of ``_principal_minors``, in its order,
+    # oracle: every violating minor of ``principal_minors``, in its order,
     # as det N_I / D^|I|; the scan's first item is sylvester_violation's
     rng = random.Random(23)
     scanned = 0
@@ -272,7 +291,7 @@ def test_minor_sign_violations_are_every_violation_in_minor_order():
         m = random_symmetric_positive(rng, rng.randrange(2, 7))
         if is_hyperbolic(m):
             continue
-        found = list(minor_sign_violations(m))
+        found = list(minor_sign_violations(m)[1])
         assert found == _full_scan(m) and found
         assert found[0] == sylvester_violation(m)
         scanned += 1
@@ -313,8 +332,11 @@ def test_minor_sign_violations_are_every_violation_in_minor_order():
     matrices += [random_symmetric_positive(rng, rng.randrange(2, 7)) for _ in range(30)]
     kinds = Counter()
     for m in matrices:
-        found = list(minor_sign_violations(m))
+        determinant, found = minor_sign_violations(m)
+        found = list(found)
         assert found == _full_scan(m)
+        # det M from the scan's own pivots; ``det`` runs Bareiss instead
+        assert determinant == det(m)
         diagonal = [m.entries[i][i] for i in range(m.rows)]
         one_positive = inertia(m).n_pos <= 1
         rule = one_positive and min(diagonal) >= 0
@@ -323,7 +345,7 @@ def test_minor_sign_violations_are_every_violation_in_minor_order():
         kinds["rule, zero diagonal"] += rule and 0 in diagonal
         kinds["scanned, violations"] += bool(found)
         kinds["n_pos <= 1, negative diagonal"] += one_positive and min(diagonal) < 0
-    assert list(minor_sign_violations(RatMatrix([[-1]]))) == [Violation((0,), F(-1))]
+    assert list(minor_sign_violations(RatMatrix([[-1]]))[1]) == [Violation((0,), F(-1))]
     assert min(kinds.values()) >= 2, kinds
 
 
@@ -335,9 +357,9 @@ def test_minor_sign_violations_enumerate_nothing_under_the_rule(monkeypatch):
 
     monkeypatch.setattr("boxcert.hypmat._integer_minors", forbidden)
     for m in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0, 1], [1, 0]], [[0]], [[F(5, 7)]]):
-        assert list(minor_sign_violations(RatMatrix(m))) == []
+        assert list(minor_sign_violations(RatMatrix(m))[1]) == []
     with pytest.raises(AssertionError, match="inertia rule"):
-        list(minor_sign_violations(RatMatrix([[-1]])))
+        list(minor_sign_violations(RatMatrix([[-1]]))[1])
 
 
 def test_af_form_check_basics():
