@@ -23,9 +23,12 @@ single-step reference of the tests and the benchmark's tracer.
 ``_form_and_image`` is the one evaluator of the form (``hr_form``);
 ``hr_check``, the one Hodge-Riemann verdict on a primitive operator, reads
 its image a D_C V too: a is primitive when D_L of it is 0. ``hr_signature``
-is the one signature verdict (the pairing's exact inertia against the
-h-vector, and its definiteness on the primitive span, ``primitive_gram``);
-``hodge primitive`` and the selftest read the last two.
+is the one signature verdict: the pairing P's exact inertia against the
+h-vector, and its (-1)^k-definiteness on the primitive span as a checked
+eigen-relation (P b = lam b, lam = (-1)^k (n-2k)!, on an echelon basis, so
+P symmetric gives x^T P x = lam |x|^2 on the span; the check assumes no
+Kneser theorem, it verifies it). ``hodge primitive`` and the selftest read
+the last two.
 ``polarization_signs`` is the one sign rule of the polarization formula,
 which ``express_as_powers``, the mixvol check and the fedotov lift read.
 """
@@ -366,51 +369,39 @@ def pairing_matrix(n: int, k: int) -> RatMatrix:
     return _union_coefficients(q, subsets, subsets)
 
 
-def primitive_gram(
-    n: int, k: int, basis: Sequence[SlabOperator], pairing: RatMatrix
-) -> tuple[RatMatrix, list[int]]:
-    """(G, scales): G = B P B^T, the Gram matrix of ``pairing`` on ``basis``.
-
-    ``pairing`` is P = ``pairing_matrix(n, k)``. Row i of B is basis[i]'s
-    coefficients over the k-subsets, scaled to integers by scales[i]
-    (``integer_row``). A positive row scaling is a congruence, so G has the
-    inertia of the basis' own Gram matrix, and G[i, i] / scales[i]^2 is the
-    form value of basis[i]. The products run on P scaled once to integers,
-    over its nonzero entries (the disjoint pairs); P is symmetric, so its
-    rows serve as its columns.
-    """
-    subsets = list(combinations(range(n), k))
-    scaled = [integer_row([op.coeff(s) for s in subsets]) for op in basis]
-    rows = [z for z, _ in scaled]
-    a, den = integer_matrix(pairing)
-    nonzero = [[(s, x) for s, x in enumerate(row) if x] for row in a]
-    bp = [[sum(b[s] * x for s, x in nz) for nz in nonzero] for b in rows]
-    gram = [[Fraction(sum(x * y for x, y in zip(u, b)), den) for b in rows] for u in bp]
-    return RatMatrix(gram), [d for _, d in scaled]
-
-
 def hr_signature(n: int, k: int, basis: Sequence[SlabOperator]) -> tuple[Inertia, bool]:
     """(inertia of ``pairing_matrix(n, k)``, the Hodge-Riemann signature verdict).
 
     ``basis`` spans the degree-k primitive operators of the cube. The
-    verdict holds when both exact inertias read as the relations state:
-    (a) the degree-k operators are the sum of L^(k-j) P_j over j <= k, with
+    verdict holds when
+    (a) the pairing's exact inertia reads as the relations state: the
+        degree-k operators are the sum of L^(k-j) P_j over j <= k, with
         dim P_j = h_j - h_(j-1) and the pairing (-1)^j-definite on each, so
-        the pairing reads n_pos = the sum over even j, n_neg = the sum over
-        odd j, and n_zero = 0;
-    (b) the pairing is (-1)^k-definite on the span of ``basis``: the inertia
-        of ``primitive_gram`` is (|basis|, 0, 0) for even k and
-        (0, |basis|, 0) for odd k.
+        n_pos = the sum over even j, n_neg = the sum over odd j, n_zero = 0;
+    (b) the pairing is (-1)^k-definite on the span of ``basis``, by an
+        eigen-relation: every element b has P b = lam b, lam = (-1)^k (n-2k)!,
+        and the elements' last subsets (``max(op.terms)``) are distinct, so
+        they are independent (echelon form). P is symmetric, so every
+        nonzero x in the span has x^T P x = lam |x|^2, of sign (-1)^k.
+    P is (n-2k)! times the Kneser graph's adjacency matrix, whose level-k
+    eigenvalue is (-1)^k; (b) assumes no such theorem, it verifies the
+    relation in integers, over P's nonzero entries scaled once.
     """
     pairing = pairing_matrix(n, k)
     found = inertia(pairing)
     h = h_vector_cube(n)
     dims = [h[j] - (h[j - 1] if j else 0) for j in range(k + 1)]
-    size = len(basis)
-    definite = Inertia(size, 0, 0) if k % 2 == 0 else Inertia(0, size, 0)
-    ok = found == Inertia(sum(dims[0::2]), sum(dims[1::2]), 0) and (
-        inertia(primitive_gram(n, k, basis, pairing)[0]) == definite
+    subsets = list(combinations(range(n), k))
+    # a = den * P in integers, read over its nonzero entries (the disjoint pairs)
+    a, den = integer_matrix(pairing)
+    lam = (-1) ** k * factorial(n - 2 * k)
+    nonzero = [[(s, x) for s, x in enumerate(row) if x] for row in a]
+    rows = [integer_row([op.coeff(s) for s in subsets])[0] for op in basis]
+    eigen = all(
+        sum(b[s] * x for s, x in nz) == den * lam * y for b in rows for nz, y in zip(nonzero, b)
     )
+    echelon = len({max(op.terms) for op in basis if op.terms}) == len(basis)
+    ok = found == Inertia(sum(dims[0::2]), sum(dims[1::2]), 0) and eigen and echelon
     return found, ok
 
 

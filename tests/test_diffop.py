@@ -21,7 +21,6 @@ from boxcert.diffop import (
     op_to_json,
     pairing_matrix,
     polarization_signs,
-    primitive_gram,
     primitive_space_basis,
     volume_polynomial,
 )
@@ -318,17 +317,40 @@ def test_hr_signature_compares_with_the_h_vector(monkeypatch):
     assert hr_signature(5, 2, basis) == (Inertia(6, 4, 0), False)
 
 
-@pytest.mark.parametrize("n, k", [(6, 3), (8, 4)])
-def test_primitive_gram_diagonal_is_the_form_value(n, k):
+def test_hr_signature_rejects_a_span_outside_the_eigenspace(monkeypatch):
+    # each basis below fails (b): the all-ones vector is a level-0 eigenvector
+    # (eigenvalue 3, its 1 x 1 Gram is positive), a repeat and a zero are dependent
+    cube = unit_cube(5)
+    b0 = primitive_space_basis(2, cube, [cube])[0]
+    ones = SlabOperator(5, 2, [*b0.terms.items(), *((s, 1) for s in combinations(range(5), 2))])
+    calls = Counter()
+
+    def counting(m):
+        calls["inertia"] += 1
+        return inertia(m)
+
+    monkeypatch.setattr("boxcert.diffop.inertia", counting)
+    tampered = [[ones], [b0, b0], [b0, SlabOperator(5, 2)]]
+    for basis in tampered:
+        assert hr_signature(5, 2, basis) == (Inertia(6, 4, 0), False)
+    assert calls["inertia"] == len(tampered)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 2), (8, 4)])
+def test_primitive_form_value_is_the_eigenvalue_times_the_squared_norm(n, k):
+    # P b = lam b on the span, lam = (-1)^k (n-2k)!, so the form is (-1)^k-definite there
+    lam = (-1) ** k * factorial(n - 2 * k)
     cube = unit_cube(n)
     c_bodies = [cube] * (n - 2 * k)
     basis = primitive_space_basis(k, cube, c_bodies)
-    gram, scales = primitive_gram(n, k, basis, pairing_matrix(n, k))
-    assert gram.rows == len(basis) and gram.is_symmetric
-    for i, (op, d) in enumerate(zip(basis, scales)):
-        assert gram[i, i] / d**2 == hr_check(op, cube, c_bodies)[0]
-    definite = Inertia(len(basis), 0, 0) if k % 2 == 0 else Inertia(0, len(basis), 0)
-    assert inertia(gram) == definite
+    assert hr_signature(n, k, basis)[1]
+    for op in basis:
+        assert hr_check(op, cube, c_bodies)[0] == lam * sum(c**2 for c in op.terms.values())
+    rng = random.Random(f"eigen:{n}:{k}")
+    for _ in range(5):
+        x = _combination(n, k, [(rng.choice((-2, -1, 1, 2)), b) for b in basis])
+        value = hr_form(x, x, c_bodies)
+        assert value == lam * sum(c**2 for c in x.terms.values()) != 0
 
 
 def test_pairing_matrix_is_hr_form_gram():

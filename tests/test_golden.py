@@ -193,6 +193,15 @@ GOLDEN = {
         ["hodge", "primitive", "--n", "6", "--k", "3", "--format", "json"],
         "2aa074289802ff9576504b36039464539735ed6bcb540f8e00527129f64157aa",
     ),
+    # n - 2k >= 2: the form's eigenvalue on the primitive span is 6, then -2
+    "hodge-primitive-7-2-json": (
+        ["hodge", "primitive", "--n", "7", "--k", "2", "--format", "json"],
+        "c8e66a4f504c02a86bd368f278717919029dc3918d5ac07b2ff57adb060b73ea",
+    ),
+    "hodge-primitive-8-3-json": (
+        ["hodge", "primitive", "--n", "8", "--k", "3", "--format", "json"],
+        "882fdab3de7dc7cb30aee4eaebc9d4689a8a9ee13aa1c76b3e51d8707a78b36e",
+    ),
     "hodge-primitive-8-4-json": (
         ["hodge", "primitive", "--n", "8", "--k", "4", "--format", "json"],
         "ecd8ff3452c334c4c3595626dc4a9a9a626d4f9bd4571ad8b5f4af0276cc873d",
