@@ -21,6 +21,12 @@ determinant +-1, so the k-th pivot D_k is a leading minor of a matrix
 congruent to N, and det N = D_n at full rank. The k-th LDL^T pivot
 D_k / D_{k-1} has the sign of D_k D_{k-1}, and Sylvester's law of inertia
 reads the signature off those signs (``pivot_inertia``).
+
+Gauss-Jordan (``rref``) keeps one invariant: when column c gets its pivot,
+the pivot row is zero left of c, because every row not yet used as a pivot
+is. So the row operations start at column c; x - f * 0 = x on the columns
+left of it, and the reduced matrix is the same Fractions as a full-width
+loop gives.
 """
 
 from __future__ import annotations
@@ -280,7 +286,14 @@ def inertia(m: RatMatrix) -> Inertia:
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+    """Reduced row echelon form and the list of pivot columns.
+
+    The pivot row is normalized, and each row operation applied, on columns
+    c and up only. This is exact: rows r and below are zero left of column
+    c (an earlier pivot column was cleared below its pivot, a column with
+    no pivot was zero there), so the pivot row is zero left of its pivot
+    column and x - f * 0 = x on every column the slice skips.
+    """
     a = m.to_lists()
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
@@ -293,11 +306,12 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
             continue
         a[r], a[row] = a[row], a[r]
         inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        tail = [x * inv for x in a[r][c:]]
+        a[r][c:] = tail
         for i in range(nrows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], tail)]
         pivots.append(c)
         r += 1
     return RatMatrix(a), pivots

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxcert.boxes import unit_cube
+from boxcert.diffop import _union_coefficients, contract, volume_polynomial
 from boxcert.exactlin import (
     Inertia,
     RatMatrix,
@@ -314,6 +317,87 @@ def test_rref_pivots_and_rank():
     assert pivots == [0, 1]
     assert len(rref(m)[1]) == 2
     assert reduced.entries[2] == (F(0), F(0), F(0))
+
+
+def _full_width_rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """Oracle: Gauss-Jordan whose row operations run over every column."""
+    a = m.to_lists()
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if row is None:
+            continue
+        a[r], a[row] = a[row], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return RatMatrix(a), pivots
+
+
+def _degenerate_rational_matrix(rng: random.Random) -> RatMatrix:
+    """1-7 rows, 1-9 columns, often with zero rows or columns, repeated rows
+    or a rank below min(rows, cols)."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+    grid = random_rational_matrix(rng, rows, cols).to_lists()
+    kind = rng.randrange(5)
+    if kind == 1:  # low rank: a rows x r times r x cols product
+        r = rng.randint(0, min(rows, cols) - 1)
+        grid = [[F(0)] * cols for _ in range(rows)]
+        if r:
+            left, right = random_rational_matrix(rng, rows, r), random_rational_matrix(rng, r, cols)
+            grid = left.matmul(right).to_lists()
+    elif kind == 2:  # repeated rows, some scaled
+        for i in range(rows):
+            if rng.random() < 0.5:
+                grid[i] = [rng.choice((1, -2, F(1, 3))) * x for x in grid[rng.randrange(rows)]]
+    elif kind == 3:  # zero rows and zero columns
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            grid[i] = [F(0)] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols)):
+            for row in grid:
+                row[j] = F(0)
+    elif kind == 4:  # sparse
+        grid = [[x if rng.random() < 0.3 else F(0) for x in row] for row in grid]
+    return RatMatrix(grid)
+
+
+def _cube_union_matrix(n: int, k: int) -> RatMatrix:
+    """The C(n,k-1) x C(n,k) system ``primitive_space_basis`` solves for the cube."""
+    q = contract(volume_polynomial(n), [unit_cube(n)] * (n - 2 * k + 1))
+    return _union_coefficients(q, combinations(range(n), k - 1), list(combinations(range(n), k)))
+
+
+def _assert_reduced_echelon(reduced: RatMatrix, pivots: list[int]) -> None:
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for r, pc in enumerate(pivots):
+        assert all(x == 0 for x in reduced.entries[r][:pc])
+        assert reduced[r, pc] == 1
+        assert all(reduced[i, pc] == (i == r) for i in range(reduced.rows))
+    for row in reduced.entries[len(pivots):]:
+        assert all(x == 0 for x in row)
+
+
+def test_rref_equals_the_full_width_loop():
+    # each row operation starts at its pivot column: same Fractions, same pivots
+    rng = random.Random(34)
+    matrices = [_degenerate_rational_matrix(rng) for _ in range(240)]
+    matrices += [_cube_union_matrix(6, 3), _cube_union_matrix(8, 4)]
+    for m in matrices:
+        reduced, pivots = rref(m)
+        expected, expected_pivots = _full_width_rref(m)
+        assert reduced.entries == expected.entries
+        assert pivots == expected_pivots
+        _assert_reduced_echelon(reduced, pivots)
+    assert len(pivots) == 56  # the last matrix, (8,4): full row rank C(8,3)
 
 
 @given(st.fractions(), st.fractions())

@@ -211,6 +211,11 @@ GOLDEN = {
         ["hodge", "primitive", "--n", "9", "--k", "4", "--format", "json"],
         "84cb38a163d6141d452e91a239f5dfe8568e9b28e2b290f9b7a4097f27b04ea6",
     ),
+    # the first n = 10 pin: a 45 x 120 Fraction nullspace, 75 primitive elements
+    "hodge-primitive-10-3-json": (
+        ["hodge", "primitive", "--n", "10", "--k", "3", "--format", "json"],
+        "b90eb827c0689af39e672945885bb05daaa71440e4a4db1854120d3002abfb97",
+    ),
     "selftest": (
         ["selftest"],
         "0bf2abae02732f4268ff519215290171a1f5c7b759155daa40efdb1658452963",
