@@ -22,11 +22,16 @@ congruent to N, and det N = D_n at full rank. The k-th LDL^T pivot
 D_k / D_{k-1} has the sign of D_k D_{k-1}, and Sylvester's law of inertia
 reads the signature off those signs (``pivot_inertia``).
 
-Gauss-Jordan (``rref``) keeps one invariant: when column c gets its pivot,
-the pivot row is zero left of c, because every row not yet used as a pivot
-is. So the row operations start at column c; x - f * 0 = x on the columns
-left of it, and the reduced matrix is the same Fractions as a full-width
-loop gives.
+The RREF (``rref``) is Gaussian elimination, then back substitution, and
+each pass keeps one invariant. Forward: when column c gets its pivot in
+row r, rows r and below are zero left of c, so the pivot row is
+normalized, and the rows below it cleared, on columns c and up only
+(x - f * 0 = x on the columns left of it). Backward, from the last pivot
+up: a pivot row is already zero in every later pivot column, so clearing
+the rows above pivot r never refills a later pivot column. The RREF of a
+matrix is unique and Fractions are normalized, so the reduced matrix, the
+pivots and every null-space vector are the same Fractions as Gauss-Jordan
+(each pivot clearing every other row) gives.
 """
 
 from __future__ import annotations
@@ -288,11 +293,15 @@ def inertia(m: RatMatrix) -> Inertia:
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    The pivot row is normalized, and each row operation applied, on columns
-    c and up only. This is exact: rows r and below are zero left of column
-    c (an earlier pivot column was cleared below its pivot, a column with
-    no pivot was zero there), so the pivot row is zero left of its pivot
-    column and x - f * 0 = x on every column the slice skips.
+    A forward pass normalizes each pivot row and clears the rows below it;
+    a backward pass, from the last pivot up, clears the rows above each
+    pivot. Both work on columns c and up only, where c is the pivot column.
+    Forward, rows r and below are zero left of column c (an earlier pivot
+    column was cleared below its pivot, a column with no pivot was zero
+    there), so x - f * 0 = x on every column the slice skips. Backward,
+    pivot row r is zero left of c and already zero in every later pivot
+    column, so clearing above it never refills a later pivot column. The
+    RREF is unique, so these are the same Fractions Gauss-Jordan gives.
     """
     a = m.to_lists()
     nrows, ncols = m.rows, m.cols
@@ -308,12 +317,19 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
         inv = 1 / a[r][c]
         tail = [x * inv for x in a[r][c:]]
         a[r][c:] = tail
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
+        for i in range(r + 1, nrows):
+            if a[i][c] != 0:
                 f = a[i][c]
                 a[i][c:] = [x - f * y for x, y in zip(a[i][c:], tail)]
         pivots.append(c)
         r += 1
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        tail = a[r][c:]
+        for i in range(r):
+            if a[i][c] != 0:
+                f = a[i][c]
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], tail)]
     return RatMatrix(a), pivots
 
 

@@ -386,11 +386,59 @@ def _assert_reduced_echelon(reduced: RatMatrix, pivots: list[int]) -> None:
         assert all(x == 0 for x in row)
 
 
+def _upper_triangular(rng: random.Random, rows: int, cols: int) -> RatMatrix:
+    """Full row rank, nonzero diagonal, zero below it: the forward pass finds
+    every row below its pivot already zero, so the backward pass does all
+    the clearing."""
+    pool = [F(a, b) for a in range(-4, 5) for b in (1, 2, 3)]
+    nonzero = [x for x in pool if x]
+    return RatMatrix(
+        [[F(0)] * i + [rng.choice(nonzero)] + [rng.choice(pool) for _ in range(cols - i - 1)] for i in range(rows)]
+    )
+
+
+def _wide_with_free_columns(rng: random.Random, rows: int, pivots: list[int], cols: int) -> RatMatrix:
+    """rows x cols of rank len(pivots) < rows, whose RREF has these pivots:
+    a random left factor times an echelon right factor with a free column
+    between two of its pivots."""
+    pool = [F(a, b) for a in range(-4, 5) for b in (1, 2, 3)]
+    right = [[F(0)] * cols for _ in pivots]
+    for r, pc in enumerate(pivots):
+        right[r][pc] = F(1)
+        for c in range(pc + 1, cols):
+            if c not in pivots:
+                right[r][c] = rng.choice(pool)
+    while True:
+        left = random_rational_matrix(rng, rows, len(pivots))
+        if len(rref(left)[1]) == len(pivots):
+            return left.matmul(RatMatrix(right))
+
+
+def _backward_pass_cases(rng: random.Random) -> list[tuple[RatMatrix, list[int] | None]]:
+    """Inputs where the backward pass carries the work or meets free columns,
+    with their pivot columns where the construction fixes them."""
+    shapes = [(1, 1), (4, 4), (6, 6), (3, 8), (5, 9)]
+    cases = [(_upper_triangular(rng, rows, cols), list(range(rows))) for rows, cols in shapes]
+    for rows, pivots, cols in [(4, [0, 2], 5), (5, [0, 1, 3, 6], 8), (6, [1, 4, 5], 9), (3, [0, 3], 4)]:
+        cases.append((_wide_with_free_columns(rng, rows, pivots, cols), pivots))
+    zero_columns = random_rational_matrix(rng, 4, 6).to_lists()
+    for row in zero_columns:
+        row[0] = row[3] = F(0)
+    cases.append((RatMatrix(zero_columns), None))
+    cases += [(random_rational_matrix(rng, 1, cols), None) for cols in (1, 5, 9)]
+    cases += [(random_rational_matrix(rng, rows, 1), None) for rows in (2, 7)]
+    cases += [(RatMatrix([[0, 0, 0]]), []), (RatMatrix([[0], [0], [0]]), [])]
+    return cases
+
+
 def test_rref_equals_the_full_width_loop():
-    # each row operation starts at its pivot column: same Fractions, same pivots
+    # the forward pass starts each row operation at its pivot column, and the
+    # backward pass clears above each pivot once: same Fractions, same pivots
     rng = random.Random(34)
     matrices = [_degenerate_rational_matrix(rng) for _ in range(240)]
-    matrices += [_cube_union_matrix(6, 3), _cube_union_matrix(8, 4)]
+    backward = _backward_pass_cases(random.Random(35))
+    matrices += [m for m, _ in backward]
+    matrices += [_cube_union_matrix(n, k) for n, k in [(6, 3), (7, 3), (9, 3), (8, 4)]]
     for m in matrices:
         reduced, pivots = rref(m)
         expected, expected_pivots = _full_width_rref(m)
@@ -398,6 +446,32 @@ def test_rref_equals_the_full_width_loop():
         assert pivots == expected_pivots
         _assert_reduced_echelon(reduced, pivots)
     assert len(pivots) == 56  # the last matrix, (8,4): full row rank C(8,3)
+    for m, known_pivots in backward:
+        if known_pivots is not None:
+            assert rref(m)[1] == known_pivots
+
+
+def _unimodular(rng: random.Random, size: int) -> RatMatrix:
+    """A seeded invertible integer matrix: a row permutation of L U with unit
+    diagonals, so det = +-1."""
+    lower = [[F(rng.randint(-3, 3)) if j < i else F(i == j) for j in range(size)] for i in range(size)]
+    upper = [[F(rng.randint(-3, 3)) if j > i else F(i == j) for j in range(size)] for i in range(size)]
+    product = RatMatrix(lower).matmul(RatMatrix(upper)).to_lists()
+    rng.shuffle(product)
+    return RatMatrix(product)
+
+
+def test_rref_is_idempotent_and_depends_only_on_the_row_space():
+    # no reference loop: the RREF is a function of the row space alone
+    rng = random.Random(3535)
+    matrices = [_degenerate_rational_matrix(rng) for _ in range(120)]
+    matrices += [_upper_triangular(rng, 5, 7), _cube_union_matrix(6, 3)]
+    for m in matrices:
+        reduced, pivots = rref(m)
+        assert rref(reduced) == (reduced, pivots)
+        g = _unimodular(rng, m.rows)
+        assert abs(det(g)) == 1
+        assert rref(g.matmul(m)) == (reduced, pivots)
 
 
 @given(st.fractions(), st.fractions())

@@ -185,6 +185,11 @@ GOLDEN = {
         ["shephard", "--n", "12", "--m", "14", "--seed", "1", "--format", "json"],
         "ab22f9d7dfd5ba6e464f681e6f7cf0c067312a9d0b523902442baf41adf345b8",
     ),
+    # k = 1: the primitive space of degree 1, a 1 x 5 nullspace
+    "hodge-primitive-5-1-json": (
+        ["hodge", "primitive", "--n", "5", "--k", "1", "--format", "json"],
+        "065aae15ccd08285e6e912684a42a6aaed59ffb7e15ab4738e9da2bee9af7522",
+    ),
     "hodge-primitive-4-2": (
         ["hodge", "primitive", "--n", "4", "--k", "2"],
         "79c8cca078c8facae1478c1a6903e261549c36b07b669bec41c81374455acc58",
@@ -206,6 +211,11 @@ GOLDEN = {
         ["hodge", "primitive", "--n", "8", "--k", "4", "--format", "json"],
         "ecd8ff3452c334c4c3595626dc4a9a9a626d4f9bd4571ad8b5f4af0276cc873d",
     ),
+    # a 36 x 84 Fraction nullspace, 48 primitive elements
+    "hodge-primitive-9-3-json": (
+        ["hodge", "primitive", "--n", "9", "--k", "3", "--format", "json"],
+        "430b1a8b615ac0059d7d586f2b9e0fb348e4f864987eaa1528e8548ffdd72fdb",
+    ),
     # 42 primitive elements; its basis comes from the Fraction nullspace
     "hodge-primitive-9-4-json": (
         ["hodge", "primitive", "--n", "9", "--k", "4", "--format", "json"],
@@ -215,6 +225,11 @@ GOLDEN = {
     "hodge-primitive-10-3-json": (
         ["hodge", "primitive", "--n", "10", "--k", "3", "--format", "json"],
         "b90eb827c0689af39e672945885bb05daaa71440e4a4db1854120d3002abfb97",
+    ),
+    # the largest pin: a 210 x 252 Fraction nullspace, 42 primitive elements
+    "hodge-primitive-10-5-json": (
+        ["hodge", "primitive", "--n", "10", "--k", "5", "--format", "json"],
+        "2d7e2c346d859f3225cb158288076e179bf93ddff370ef300fc87f8efc8d4f65",
     ),
     "selftest": (
         ["selftest"],
